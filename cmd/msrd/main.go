@@ -28,16 +28,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"mssr/internal/api"
 	"mssr/internal/ckpt"
 	"mssr/internal/cli"
 	"mssr/internal/client"
-	"mssr/internal/dash"
 	"mssr/internal/server"
 	"mssr/internal/store"
 )
@@ -120,15 +117,6 @@ func main() {
 
 	srv := server.New(cfg)
 	var handler http.Handler = srv
-	if *dashboard {
-		// Same pattern as pprof below: the page exists only when asked
-		// for, mounted on a wrapping mux in front of the API.
-		mux := http.NewServeMux()
-		mux.Handle("/dashboard", dash.Handler())
-		mux.Handle("/", handler)
-		handler = mux
-		log.Printf("msrd: dashboard enabled at /dashboard")
-	}
 	if *withPprof {
 		// Mount the pprof handlers explicitly on our own mux rather than
 		// importing the package for its DefaultServeMux side effect: the
@@ -143,21 +131,6 @@ func main() {
 		handler = mux
 		log.Printf("msrd: pprof endpoints enabled under /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("msrd: draining (deadline %s)", *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("msrd: drain deadline hit, running simulations cancelled: %v", err)
-		}
-		_ = httpSrv.Shutdown(context.Background())
-	}()
-
 	if *register != "" {
 		adv, err := advertiseAddr(*advertise, *addr)
 		if err != nil {
@@ -168,9 +141,7 @@ func main() {
 	}
 
 	log.Printf("msrd: serving on %s (sim jobs %d, queue %d, cache %d)", *addr, *jobs, *queue, *cacheSize)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("msrd: %v", err)
-	}
+	cli.Serve("msrd", *addr, handler, *dashboard, *drain, srv.Shutdown)
 	if st != nil {
 		// The server's drain already flushed the write-behind queue;
 		// Close joins the writer so nothing is torn mid-rename.

@@ -1,8 +1,11 @@
-// Command msrfleet is the fleet coordinator: it shards msrd simulation
-// jobs across a ring of worker daemons by content-addressed rendezvous
-// hashing and serves the same /v1 API a single daemon does, so existing
-// clients (msrbench -remote, internal/client) point at a fleet
-// unchanged (see internal/fleet).
+// Command msrfleet is the fleet coordinator: an msrd server whose
+// backend is a ring of worker daemons. It serves the /v1 API through
+// the server's own handlers — result cache, in-flight dedup, job book,
+// event bus — and shards what the cache cannot answer across the ring by
+// content-addressed rendezvous hashing, so existing clients (msrbench
+// -remote, internal/client) point at a fleet unchanged (see
+// internal/fleet). The coordinator's admission queue and readiness
+// threshold are the server defaults.
 //
 // Usage:
 //
@@ -10,25 +13,21 @@
 //	msrfleet -addr :8370                  # workers join via msrd -register
 //	msrfleet -chunk 8 -max-attempts 6 -health-interval 2s
 //
-// Scrape /metrics for the fleet-wide exposition (coordinator msrfleet_*
-// series plus every worker's msrd_* series under worker="addr" labels);
-// GET /fleet/v1/workers for ring membership; stop with SIGINT/SIGTERM.
+// Scrape /metrics for the fleet-wide exposition (the coordinator's own
+// msrfleet_* series plus every worker's msrd_* series under
+// worker="addr" labels); GET /fleet/v1/workers for ring membership; stop
+// with SIGINT/SIGTERM.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mssr/internal/cli"
-	"mssr/internal/dash"
 	"mssr/internal/fleet"
 )
 
@@ -37,12 +36,10 @@ func main() {
 		addr           = flag.String("addr", ":8370", "listen address")
 		workers        = flag.String("workers", "", "comma-separated worker addresses (more can join via msrd -register)")
 		chunk          = flag.Int("chunk", 16, "specs dispatched to a worker as one sub-job")
-		queue          = flag.Int("queue", 4096, "admitted-and-unresolved spec bound; submissions beyond it get 429")
 		maxAttempts    = flag.Int("max-attempts", 4, "dispatch attempts per spec before it completes with an error")
 		retryBackoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before re-dispatching after a worker failure")
 		healthInterval = flag.Duration("health-interval", time.Second, "worker liveness probe period")
 		healthFailures = flag.Int("health-failures", 2, "consecutive probe failures that demote a worker")
-		ready          = flag.Int("ready-threshold", 0, "pending specs that flip /readyz to saturated (0 = queue limit)")
 		dashboard      = flag.Bool("dashboard", false, "serve the live telemetry dashboard at /dashboard")
 		drain          = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline")
 		logLevel       = flag.String("log-level", "info", "structured log level: debug, info, warn, error, off")
@@ -66,39 +63,12 @@ func main() {
 	co := fleet.New(fleet.Config{
 		Workers:        ring,
 		ChunkSize:      *chunk,
-		QueueLimit:     *queue,
 		MaxAttempts:    *maxAttempts,
 		RetryBackoff:   *retryBackoff,
 		HealthInterval: *healthInterval,
 		HealthFailures: *healthFailures,
-		ReadyThreshold: *ready,
 		Logger:         logger,
 	})
-	var handler http.Handler = co
-	if *dashboard {
-		mux := http.NewServeMux()
-		mux.Handle("/dashboard", dash.Handler())
-		mux.Handle("/", co)
-		handler = mux
-		log.Printf("msrfleet: dashboard enabled at /dashboard")
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("msrfleet: draining (deadline %s)", *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := co.Shutdown(ctx); err != nil {
-			log.Printf("msrfleet: drain deadline hit: %v", err)
-		}
-		_ = httpSrv.Shutdown(context.Background())
-	}()
-
-	log.Printf("msrfleet: serving on %s (%d static workers, chunk %d, queue %d)", *addr, len(ring), *chunk, *queue)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("msrfleet: %v", err)
-	}
+	log.Printf("msrfleet: serving on %s (%d static workers, chunk %d)", *addr, len(ring), *chunk)
+	cli.Serve("msrfleet", *addr, co, *dashboard, *drain, co.Shutdown)
 }

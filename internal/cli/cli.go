@@ -2,9 +2,17 @@
 package cli
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"log/slog"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
+
+	"mssr/internal/dash"
 )
 
 // BuildLogger constructs a daemon's structured logger from -log-level
@@ -34,4 +42,34 @@ func BuildLogger(level, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown -log-format %q (text, json)", format)
+}
+
+// Serve runs a daemon's handler on addr until SIGINT/SIGTERM, then gives
+// shutdown up to drain to finish in-flight work before the listener
+// closes; it returns once it has. dashboard mounts the live dashboard
+// at /dashboard in front of h.
+func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duration, shutdown func(context.Context) error) {
+	if dashboard {
+		mux := http.NewServeMux()
+		mux.Handle("/dashboard", dash.Handler())
+		mux.Handle("/", h)
+		h = mux
+		log.Printf("%s: dashboard enabled at /dashboard", name)
+	}
+	httpSrv := &http.Server{Addr: addr, Handler: h}
+	go func() {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+		log.Printf("%s: draining (deadline %s)", name, drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		if err := shutdown(ctx); err != nil {
+			log.Printf("%s: drain deadline hit, running simulations cancelled: %v", name, err)
+		}
+		_ = httpSrv.Shutdown(context.Background())
+	}()
+	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		log.Fatalf("%s: %v", name, err)
+	}
 }

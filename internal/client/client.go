@@ -250,7 +250,7 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // Ready checks /readyz; nil means the daemon is accepting new work
-// (not draining, admission queue below its readiness threshold).
+// (not draining, backend ready, admission queue not full).
 func (c *Client) Ready(ctx context.Context) error {
 	return c.getJSON(ctx, "/readyz", &map[string]interface{}{})
 }

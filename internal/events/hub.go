@@ -28,8 +28,8 @@ type Hub struct {
 	mu    sync.Mutex
 	subs  map[*Subscriber]struct{}
 	nsubs atomic.Int32 // len(subs), readable without the lock
+	seq   uint64       // last stamped Seq; under mu
 
-	seq       atomic.Uint64
 	published atomic.Uint64
 	dropped   atomic.Uint64
 }
@@ -88,20 +88,23 @@ func (s *Subscriber) Close() {
 
 // Publish stamps the event (Seq, TimeNS) and offers it to every
 // matching subscriber without blocking. It reports how many subscribers
-// received it. The no-subscriber fast path performs one atomic load and
-// no allocation.
+// received it. Stamping and delivery share one critical section, so
+// every subscriber sees Seq strictly increasing however many goroutines
+// publish. The no-subscriber fast path performs one atomic load and no
+// allocation.
 func (h *Hub) Publish(e Event) int {
 	if h.nsubs.Load() == 0 {
 		return 0
 	}
-	e.Seq = h.seq.Add(1)
+	delivered := 0
+	h.mu.Lock()
+	h.seq++
+	e.Seq = h.seq
 	if c := h.Clock; c != nil {
 		e.TimeNS = c()
 	} else {
 		e.TimeNS = time.Now().UnixNano()
 	}
-	delivered := 0
-	h.mu.Lock()
 	for sub := range h.subs {
 		if sub.job != "" && e.Job != "" && e.Job != sub.job {
 			continue

@@ -153,3 +153,33 @@ func TestHubEventByValue(t *testing.T) {
 		t.Fatalf("subscriber saw mutated event: key %q", got.Key)
 	}
 }
+
+// TestHubConcurrentPublishersOrdered: many goroutines publishing at once
+// must still reach a subscriber in strictly increasing Seq order, or
+// -assert-order consumers see phantom reorderings.
+func TestHubConcurrentPublishersOrdered(t *testing.T) {
+	const publishers, each = 8, 500
+	h := &Hub{}
+	sub := h.Subscribe("", publishers*each)
+	defer sub.Close()
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Publish(Event{Type: TypeInterval, Job: "j1"})
+			}
+		}()
+	}
+	wg.Wait()
+	got := collect(t, sub, publishers*each)
+	for i := 1; i < len(got); i++ {
+		if got[i].Seq <= got[i-1].Seq {
+			t.Fatalf("seq not increasing at %d: %d after %d", i, got[i].Seq, got[i-1].Seq)
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d frames", sub.Dropped())
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -45,13 +46,15 @@ func acceptKey(key string) string {
 }
 
 // WSConn is one WebSocket connection. Reads and writes may proceed
-// concurrently (one reader, any writers — writes serialize on an
-// internal mutex via writeFrame's single Write call path).
+// concurrently (one reader, any writers — writes serialize on wmu, so
+// the reader's pong and close replies never race the event writer).
 type WSConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // client side masks outgoing frames
-	wbuf   []byte
+
+	wmu  sync.Mutex
+	wbuf []byte // under wmu
 }
 
 // Upgrade hijacks an HTTP request into a WebSocket connection,
@@ -161,10 +164,11 @@ func (c *WSConn) SetWriteDeadline(t time.Time) error { return c.conn.SetWriteDea
 func (c *WSConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
 // writeFrame assembles one complete frame in c.wbuf and writes it with
-// a single Write call, so concurrent writers cannot interleave frame
-// bytes (callers still serialize frames themselves; the event writer is
-// a single goroutine per connection).
+// a single Write call under wmu, so concurrent writers cannot interleave
+// frame bytes.
 func (c *WSConn) writeFrame(op byte, payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	n := len(payload)
 	buf := c.wbuf[:0]
 	buf = append(buf, 0x80|op) // FIN set: no fragmentation

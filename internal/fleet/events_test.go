@@ -36,9 +36,9 @@ func newWorkerWithServer(t *testing.T, cfg server.Config) (string, *server.Serve
 // fleet while a typed WebSocket subscriber watches the coordinator's
 // event bus, and asserts the per-job stream is ordered
 // (queued → start → dispatched → … → spec_done ×N → done), every
-// dispatch and completion carries a real worker address, and at least
-// one interval telemetry frame was relayed up from a worker with its
-// worker label rewritten.
+// dispatch carries a real worker address, every completion follows its
+// spec's dispatch, and at least one interval telemetry frame was relayed
+// up from a worker with its worker label rewritten.
 func TestFleetEventsLifecycle(t *testing.T) {
 	addrA, srvA := newWorkerWithServer(t, server.Config{})
 	addrB, srvB := newWorkerWithServer(t, server.Config{})
@@ -92,6 +92,7 @@ func TestFleetEventsLifecycle(t *testing.T) {
 		firstDispatch, firstDone       = -1, -1
 		dispatched, specDones, relayed int
 		intervalIdx                    = -1
+		dispatchedKeys                 = map[string]bool{}
 	)
 	for i, ev := range got {
 		if ev.Job != sub.JobID {
@@ -107,6 +108,7 @@ func TestFleetEventsLifecycle(t *testing.T) {
 				firstDispatch = i
 			}
 			dispatched++
+			dispatchedKeys[ev.Key] = true
 			if !workerAddrs[ev.Worker] {
 				t.Errorf("spec_dispatched %q carries unknown worker %q", ev.Key, ev.Worker)
 			}
@@ -115,8 +117,8 @@ func TestFleetEventsLifecycle(t *testing.T) {
 				firstDone = i
 			}
 			specDones++
-			if !workerAddrs[ev.Worker] {
-				t.Errorf("spec_done %q carries unknown worker %q", ev.Key, ev.Worker)
+			if !dispatchedKeys[ev.Key] {
+				t.Errorf("spec_done %q precedes its spec_dispatched", ev.Key)
 			}
 			if ev.Error != "" {
 				t.Errorf("spec %s failed: %s", ev.Key, ev.Error)
@@ -168,13 +170,12 @@ func TestFleetEventsLifecycle(t *testing.T) {
 // and the event-bus gauges.
 func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 	gate := newGatedBackend()
-	addr, _ := newWorker(t, server.Config{Backend: gate})
+	addr, tsW := newWorker(t, server.Config{Backend: fixed{gate}})
 	cfg := fleet.Config{
 		Workers:        []string{addr},
 		NewClient:      fastClient,
 		HealthInterval: 20 * time.Millisecond,
 		RetryBackoff:   5 * time.Millisecond,
-		ReadyThreshold: 1,
 	}
 	co := fleet.New(cfg)
 	ts := httptest.NewServer(co)
@@ -216,8 +217,9 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// A submission pinned mid-simulation pushes pending past the
-	// threshold: saturated, but still serving.
+	// A submission pinned mid-simulation, then identical ones joining its
+	// flights until the coordinator's job queue backs up: saturated, but
+	// still serving.
 	sub, err := fc.Submit(ctx, sweep12()[:2])
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +229,18 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker never started the gated sweep")
 	}
+	noRetry := fastClient(ts.URL)
+	noRetry.SubmitRetries = -1
 	code, m := readyz()
+	for i := 0; m["status"] != "saturated" && i < 1000; i++ {
+		_, _ = noRetry.Submit(ctx, sweep12()[:2]) // 429 once the queue is full
+		code, m = readyz()
+	}
 	if code != http.StatusServiceUnavailable || m["status"] != "saturated" {
 		t.Fatalf("readyz under load = %d %v, want 503 saturated", code, m)
 	}
-	if m["pending"].(float64) < 1 {
-		t.Errorf("saturated response carries pending=%v", m["pending"])
+	if m["queue_depth"].(float64) < 1 {
+		t.Errorf("saturated response carries queue_depth=%v", m["queue_depth"])
 	}
 
 	close(gate.release)
@@ -281,5 +289,23 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 	}
 	if !strings.Contains(mtx, "msrfleet_ws_connections") || !strings.Contains(mtx, "msrfleet_ws_dropped_total") {
 		t.Error("metrics lack the event-bus series")
+	}
+
+	// The only worker goes away: the fleet is alive but not ready.
+	tsW.CloseClientConnections()
+	tsW.Close()
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		code, m := readyz()
+		if code == http.StatusServiceUnavailable && m["status"] == "no healthy workers" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet without workers reports %d %v, want 503 no healthy workers", code, m)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := fc.Health(ctx); err != nil {
+		t.Errorf("fleet without workers reported dead: %v", err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"mssr/internal/fleet"
 	"mssr/internal/server"
 	"mssr/internal/sim"
+	"mssr/internal/stats"
 )
 
 // sweep12 is the acceptance sweep: 12 distinct configs (3 workloads x 4
@@ -33,6 +34,15 @@ func sweep12() []api.Spec {
 	}
 	return specs
 }
+
+// fixed adapts a hook-less test backend to the server's Backend seam:
+// every job's leaders run on it, and their completions publish when its
+// Run returns.
+type fixed struct{ sim.Backend }
+
+func (f fixed) Job(server.JobHooks) sim.Backend { return f.Backend }
+
+func (fixed) Ready() error { return nil }
 
 // countingBackend counts Run invocations while delegating to the real
 // runner.
@@ -68,18 +78,24 @@ func (b *gatedBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result,
 	return (&sim.Runner{}).Run(ctx, specs)
 }
 
-// slowBackend delays every Run — a hot shard for the stealing test.
-type slowBackend struct {
+// stubBackend answers every Run after delay with empty stats, without
+// simulating: the stealing test exercises scheduling, and a zero-cost
+// fast shard keeps the slow one reliably behind on any host.
+type stubBackend struct {
 	delay time.Duration
 }
 
-func (b *slowBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+func (b *stubBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
 	select {
 	case <-time.After(b.delay):
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return (&sim.Runner{}).Run(ctx, specs)
+	out := make([]sim.Result, len(specs))
+	for i, sp := range specs {
+		out[i] = sim.Result{Index: i, Key: sp.Key(), Spec: sp, Stats: &stats.Stats{}}
+	}
+	return out, nil
 }
 
 func fastClient(addr string) *client.Client {
@@ -206,8 +222,8 @@ func TestFleetSweepMatchesSingleNode(t *testing.T) {
 	baseline := singleNodeBaseline(t, specs)
 
 	ba, bb := &countingBackend{}, &countingBackend{}
-	addrA, _ := newWorker(t, server.Config{Backend: ba})
-	addrB, _ := newWorker(t, server.Config{Backend: bb})
+	addrA, _ := newWorker(t, server.Config{Backend: fixed{ba}})
+	addrB, _ := newWorker(t, server.Config{Backend: fixed{bb}})
 	// ChunkSize >= the sweep lets each worker take its whole shard in
 	// one dispatch, so no backlog lingers for work stealing to move off
 	// its rendezvous home — the cache-homing assertions below depend on
@@ -227,27 +243,24 @@ func TestFleetSweepMatchesSingleNode(t *testing.T) {
 		t.Errorf("sweep was not distributed: worker runs = %d / %d", ba.runs.Load(), bb.runs.Load())
 	}
 
-	// Re-submitting the sweep is served entirely from worker caches:
-	// content-addressed sharding sends every key back to the worker that
-	// computed it. A steal would have moved a spec off its home shard
-	// and blurred the homing guarantee, so only assert strict hit counts
-	// on steal-free runs (the chunk sizing above makes steals all but
-	// impossible; this guard keeps a scheduler fluke from flaking).
+	// Re-submitting the sweep is served entirely from the coordinator's
+	// own result cache: no spec reaches a worker, whatever the first
+	// sweep's placement or steals were.
 	before := ba.runs.Load() + bb.runs.Load()
 	st2 := runSweep(t, fc, specs)
 	assertByteIdentical(t, baseline, st2.Results)
-	ctx := context.Background()
-	m, err := fc.Metrics(ctx)
+	if after := ba.runs.Load() + bb.runs.Load(); after != before {
+		t.Errorf("resubmitted sweep ran %d new backend batches; the coordinator cache should have answered it", after-before)
+	}
+	if st2.CacheHits != len(specs) {
+		t.Errorf("resubmitted sweep cache hits = %d, want %d", st2.CacheHits, len(specs))
+	}
+	m, err := fc.Metrics(context.Background())
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
-	if steals := metricValue(t, m, "msrfleet_steals_total"); steals == 0 {
-		if after := ba.runs.Load() + bb.runs.Load(); after != before {
-			t.Errorf("resubmitted sweep ran %d new backend batches; sharding should have hit every worker cache", after-before)
-		}
-		if st2.CacheHits != len(specs) {
-			t.Errorf("resubmitted sweep cache hits = %d, want %d", st2.CacheHits, len(specs))
-		}
+	if hits := metricValue(t, m, "msrfleet_cache_hits_total"); hits != float64(len(specs)) {
+		t.Errorf("msrfleet_cache_hits_total = %v, want %d", hits, len(specs))
 	}
 }
 
@@ -260,12 +273,12 @@ func TestFleetWorkerFailureMidSweep(t *testing.T) {
 	baseline := singleNodeBaseline(t, specs)
 
 	ba := &countingBackend{}
-	addrA, _ := newWorker(t, server.Config{Backend: ba})
+	addrA, _ := newWorker(t, server.Config{Backend: fixed{ba}})
 
 	// Worker B is built by hand (not newWorker) so the test controls the
 	// kill and the cleanup ordering around the gated backend.
 	bb := newGatedBackend()
-	srvB := server.New(server.Config{Backend: bb})
+	srvB := server.New(server.Config{Backend: fixed{bb}})
 	tsB := httptest.NewServer(srvB)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -274,7 +287,7 @@ func TestFleetWorkerFailureMidSweep(t *testing.T) {
 	})
 	t.Cleanup(func() { bb.once.Do(func() { close(bb.started) }); close(bb.release) })
 
-	co, fc := newFleet(t, fleet.Config{
+	_, fc := newFleet(t, fleet.Config{
 		Workers:        []string{addrA, tsB.URL},
 		ChunkSize:      2,
 		HealthFailures: 2,
@@ -321,7 +334,11 @@ func TestFleetWorkerFailureMidSweep(t *testing.T) {
 
 	// The ring converged on the survivor.
 	var healthy []api.WorkerInfo
-	for _, w := range co.Workers() {
+	ws, err := fc.Workers(ctx)
+	if err != nil {
+		t.Fatalf("Workers: %v", err)
+	}
+	for _, w := range ws {
 		if w.Healthy {
 			healthy = append(healthy, w)
 		}
@@ -335,15 +352,17 @@ func TestFleetWorkerFailureMidSweep(t *testing.T) {
 // backlog is drained by the idle fast worker instead of serializing the
 // sweep behind the hot shard.
 func TestFleetWorkSteal(t *testing.T) {
+	// 32 distinct canonical keys: the coordinator's dedup would fold
+	// repeats into one ring unit each and shrink the backlog to steal.
 	var specs []api.Spec
 	for _, wl := range []string{"nested-mispred", "bfs", "mcf", "pr"} {
 		for e := 0; e < 8; e++ {
-			specs = append(specs, api.Spec{Workload: wl, Scale: 0, Engine: "rgid", Streams: 2, Entries: 16 << uint(e%4), Sets: 1 << uint(e/4)})
+			specs = append(specs, api.Spec{Workload: wl, Scale: 0, Engine: "rgid", Streams: 2 << uint(e/4), Entries: 16 << uint(e%4)})
 		}
 	}
 
-	addrA, _ := newWorker(t, server.Config{})
-	addrB, _ := newWorker(t, server.Config{Backend: &slowBackend{delay: 150 * time.Millisecond}, Workers: 1})
+	addrA, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
+	addrB, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{delay: 150 * time.Millisecond}}, Workers: 1})
 	_, fc := newFleet(t, fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 1})
 
 	st := runSweep(t, fc, specs)
@@ -444,5 +463,165 @@ func TestFleetMetricsAggregation(t *testing.T) {
 	}
 	if strings.Contains(m, "\nmsrd_jobs_submitted_total ") {
 		t.Error("aggregated exposition contains an unlabelled worker sample")
+	}
+}
+
+// heldBackend runs specs of one workload only once released, and every
+// other spec at once.
+type heldBackend struct {
+	workload string
+	started  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+}
+
+func (b *heldBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+	for _, sp := range specs {
+		if sp.Workload != b.workload {
+			continue
+		}
+		b.once.Do(func() { close(b.started) })
+		select {
+		case <-b.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return (&sim.Runner{}).Run(ctx, specs)
+}
+
+// TestFleetCacheHitNotQueuedBehindMiss pins where a repeated spec is
+// answered: at the coordinator's own cache, while another job's miss is
+// held at the only worker — not in that worker's shard queue behind it,
+// and not in the coordinator's job queue behind more jobs waiting on
+// that miss than the coordinator has job slots.
+func TestFleetCacheHitNotQueuedBehindMiss(t *testing.T) {
+	held := &heldBackend{workload: "mcf", started: make(chan struct{}), release: make(chan struct{})}
+	addr, _ := newWorker(t, server.Config{Backend: fixed{held}})
+	_, fc := newFleet(t, fleet.Config{Workers: []string{addr}})
+	var release sync.Once
+	unhold := func() { release.Do(func() { close(held.release) }) }
+	t.Cleanup(unhold) // before the fleet's cleanup drains the held jobs
+
+	hit := []api.Spec{{Workload: "nested-mispred", Scale: 0}}
+	if st := runSweep(t, fc, hit); st.Results[0].Error != "" {
+		t.Fatalf("warm-up run errored: %s", st.Results[0].Error)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	miss, err := fc.Submit(ctx, []api.Spec{{Workload: "mcf", Scale: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held.started:
+	case <-ctx.Done():
+		t.Fatal("the worker never started the held miss")
+	}
+	// Identical jobs join the held miss's flight, each holding a job slot
+	// while it waits, until every slot is taken and one job queues.
+	joiners := make([]string, fleet.CoordinatorJobs)
+	for i := range joiners {
+		sub, err := fc.Submit(ctx, []api.Spec{{Workload: "mcf", Scale: 0}})
+		if err != nil {
+			t.Fatalf("joiner %d: %v", i, err)
+		}
+		joiners[i] = sub.JobID
+	}
+	for {
+		m, err := fc.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metricValue(t, m, "msrfleet_jobs_running") == fleet.CoordinatorJobs && metricValue(t, m, "msrfleet_queue_depth") == 1 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the joiners never took every job slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	hitCtx, hitCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer hitCancel()
+	sub, err := fc.Submit(hitCtx, hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fc.Wait(hitCtx, sub.JobID)
+	if err != nil {
+		t.Fatalf("cached spec did not complete while the miss was held: %v", err)
+	}
+	if st.CacheHits != 1 || st.Results[0].Source != api.SourceCache {
+		t.Errorf("cached spec cache hits = %d source %q, want 1 %q", st.CacheHits, st.Results[0].Source, api.SourceCache)
+	}
+	if ms, err := fc.Job(ctx, miss.JobID); err != nil || ms.State == api.StateDone {
+		t.Errorf("held miss = %+v (%v), want it still running", ms, err)
+	}
+	unhold()
+	for _, id := range append([]string{miss.JobID}, joiners...) {
+		if st, err := fc.Wait(ctx, id); err != nil || st.Results[0].Error != "" {
+			t.Fatalf("released job %s = %+v (%v), want a clean result", id, st, err)
+		}
+	}
+}
+
+// TestFleetRestartOverWarmWorkers pins that a worker's answer keeps its
+// source through the coordinator: after a coordinator restart its own
+// cache is cold, the workers answer the repeated sweep from theirs, and
+// the job reports every spec as a cache hit with no simulation run
+// anywhere.
+func TestFleetRestartOverWarmWorkers(t *testing.T) {
+	specs := sweep12()[:6]
+	ba, bb := &countingBackend{}, &countingBackend{}
+	addrA, _ := newWorker(t, server.Config{Backend: fixed{ba}})
+	addrB, _ := newWorker(t, server.Config{Backend: fixed{bb}})
+	// One chunk per shard: no backlog for stealing to move off its home
+	// worker, so every spec is cached where the next coordinator sends it.
+	cfg := fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 16}
+
+	first, fc1 := newFleet(t, cfg)
+	cold := runSweep(t, fc1, specs)
+	for i, r := range cold.Results {
+		if r.Error != "" || r.Source != api.SourceRun {
+			t.Fatalf("cold result %d = source %q error %q, want a clean run", i, r.Source, r.Error)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	_, fc2 := newFleet(t, cfg)
+	runs := ba.runs.Load() + bb.runs.Load()
+	warm := runSweep(t, fc2, specs)
+	assertByteIdentical(t, cold.Results, warm.Results)
+	for i, r := range warm.Results {
+		if r.Source != api.SourceCache {
+			t.Errorf("warm result %d source = %q, want %q (the worker's cache answered it)", i, r.Source, api.SourceCache)
+		}
+	}
+	if warm.CacheHits != len(specs) {
+		t.Errorf("warm sweep cache hits = %d, want %d", warm.CacheHits, len(specs))
+	}
+	if n := ba.runs.Load() + bb.runs.Load() - runs; n != 0 {
+		t.Errorf("warm sweep ran %d worker backend batches, want 0", n)
+	}
+	m, err := fc2.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if v := metricValue(t, m, "msrfleet_sims_run_total"); v != 0 {
+		t.Errorf("msrfleet_sims_run_total = %v, want 0", v)
+	}
+	if v := metricValue(t, m, "msrfleet_cache_misses_total"); v != float64(len(specs)) {
+		t.Errorf("msrfleet_cache_misses_total = %v, want %d (the restarted coordinator's cache is cold)", v, len(specs))
+	}
+	for _, name := range []string{"msrfleet_ckpt_hits_total", "msrfleet_store_hits_total"} {
+		if strings.Contains(m, name) {
+			t.Errorf("coordinator exports %s for a store it does not have", name)
+		}
 	}
 }

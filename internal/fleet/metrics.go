@@ -11,113 +11,68 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mssr/internal/obs"
 )
 
-// fleetMetrics are the coordinator's own counters, exposed as
-// msrfleet_* series alongside the aggregated worker exposition.
-type fleetMetrics struct {
-	jobsSubmitted   atomic.Uint64
-	jobsRejected    atomic.Uint64
-	jobsCompleted   atomic.Uint64
-	jobsFailed      atomic.Uint64
-	unitsDispatched atomic.Uint64
-	unitsCompleted  atomic.Uint64
-	retries         atomic.Uint64
-	unitFailures    atomic.Uint64
-	steals          atomic.Uint64
-	unitsStolen     atomic.Uint64
-	registrations   atomic.Uint64
-	wsConns         atomic.Int64
-	streamErrors    atomic.Uint64
-
-	// Build identity for msrfleet_build_info, set once at New.
-	version, goVersion, revision string
+// ringMetrics are the ring dispatcher's counters, exposed as msrfleet_*
+// series next to the coordinator server's own (which carry the same
+// prefix) and the aggregated worker exposition.
+type ringMetrics struct {
+	unitsCompleted atomic.Uint64
+	retries        atomic.Uint64
+	unitFailures   atomic.Uint64
+	steals         atomic.Uint64
+	unitsStolen    atomic.Uint64
+	registrations  atomic.Uint64
 }
 
-// workerGauges is one worker's point-in-time shard state for exposition.
-type workerGauges struct {
-	addr     string
-	healthy  bool
-	queue    int
-	inflight int
-}
-
-func (m *fleetMetrics) write(w io.Writer, workers []workerGauges, pending, orphans int, probe *obs.Histogram, hubDropped uint64, uptime float64) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP msrfleet_build_info Build identity of the running coordinator.\n# TYPE msrfleet_build_info gauge\nmsrfleet_build_info{version=%q,go_version=%q,revision=%q} 1\n",
-		m.version, m.goVersion, m.revision)
-	fmt.Fprintf(w, "# HELP msrfleet_uptime_seconds Seconds since the coordinator started.\n# TYPE msrfleet_uptime_seconds gauge\nmsrfleet_uptime_seconds %.3f\n", uptime)
-	counter("msrfleet_jobs_submitted_total", "Jobs accepted by the coordinator.", m.jobsSubmitted.Load())
-	counter("msrfleet_jobs_rejected_total", "Jobs shed (queue full or no healthy workers).", m.jobsRejected.Load())
-	counter("msrfleet_jobs_completed_total", "Jobs finished with every spec resolved cleanly.", m.jobsCompleted.Load())
-	counter("msrfleet_jobs_failed_total", "Jobs finished with at least one errored spec.", m.jobsFailed.Load())
-	counter("msrfleet_units_dispatched_total", "Specs handed to workers (retries re-count).", m.unitsDispatched.Load())
-	counter("msrfleet_units_completed_total", "Specs resolved (including fleet-side errors).", m.unitsCompleted.Load())
-	counter("msrfleet_retries_total", "Specs re-queued after a worker failure.", m.retries.Load())
-	counter("msrfleet_unit_failures_total", "Specs that exhausted their attempt budget.", m.unitFailures.Load())
-	counter("msrfleet_steals_total", "Work-stealing events between shard queues.", m.steals.Load())
-	counter("msrfleet_units_stolen_total", "Specs moved by work stealing.", m.unitsStolen.Load())
-	counter("msrfleet_worker_registrations_total", "Workers added to the ring (static and dynamic).", m.registrations.Load())
-	counter("msrfleet_ws_dropped_total", "Event frames dropped on full fleet subscriber buffers.", hubDropped)
-	counter("msrfleet_stream_errors_total", "Fleet event streams torn down mid-write (slow consumers).", m.streamErrors.Load())
-
-	fmt.Fprintf(w, "# HELP msrfleet_ws_connections Open fleet event-stream WebSockets.\n# TYPE msrfleet_ws_connections gauge\nmsrfleet_ws_connections %d\n", m.wsConns.Load())
-	probe.Write(w, "msrfleet_probe_duration_seconds", "Worker health probe round-trip time.")
-
-	fmt.Fprintf(w, "# HELP msrfleet_pending_units Specs admitted and not yet resolved.\n# TYPE msrfleet_pending_units gauge\nmsrfleet_pending_units %d\n", pending)
-	fmt.Fprintf(w, "# HELP msrfleet_orphan_units Specs parked with no healthy worker to queue on.\n# TYPE msrfleet_orphan_units gauge\nmsrfleet_orphan_units %d\n", orphans)
-
-	healthy := 0
-	for _, wk := range workers {
-		if wk.healthy {
-			healthy++
-		}
-	}
-	fmt.Fprintf(w, "# HELP msrfleet_workers Workers in the ring.\n# TYPE msrfleet_workers gauge\nmsrfleet_workers %d\n", len(workers))
-	fmt.Fprintf(w, "# HELP msrfleet_workers_healthy Workers passing health checks.\n# TYPE msrfleet_workers_healthy gauge\nmsrfleet_workers_healthy %d\n", healthy)
-
-	fmt.Fprintf(w, "# HELP msrfleet_worker_up Whether the worker passes health checks.\n# TYPE msrfleet_worker_up gauge\n")
-	for _, wk := range workers {
-		up := 0
-		if wk.healthy {
-			up = 1
-		}
-		fmt.Fprintf(w, "msrfleet_worker_up{worker=%q} %d\n", wk.addr, up)
-	}
-	fmt.Fprintf(w, "# HELP msrfleet_worker_queue_depth Specs queued on the worker's shard.\n# TYPE msrfleet_worker_queue_depth gauge\n")
-	for _, wk := range workers {
-		fmt.Fprintf(w, "msrfleet_worker_queue_depth{worker=%q} %d\n", wk.addr, wk.queue)
-	}
-	fmt.Fprintf(w, "# HELP msrfleet_worker_inflight Specs dispatched to the worker and unresolved.\n# TYPE msrfleet_worker_inflight gauge\n")
-	for _, wk := range workers {
-		fmt.Fprintf(w, "msrfleet_worker_inflight{worker=%q} %d\n", wk.addr, wk.inflight)
-	}
-}
-
-// handleMetrics serves the fleet-wide exposition: the coordinator's own
-// msrfleet_* series followed by every reachable worker's /metrics with a
-// worker="addr" label injected into each sample, HELP/TYPE headers
-// deduplicated across workers. One Prometheus scrape of the coordinator
-// observes the whole fleet.
+// handleMetrics serves the fleet-wide exposition: the coordinator
+// server's series under the msrfleet_ prefix, the ring's msrfleet_*
+// series, then every reachable worker's /metrics with a worker="addr"
+// label injected into each sample, HELP/TYPE headers deduplicated
+// across workers. One Prometheus scrape of the coordinator observes the
+// whole fleet.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	workers := make([]*worker, 0, len(c.workers))
-	gauges := make([]workerGauges, 0, len(c.workers))
-	for _, wk := range c.workers {
-		workers = append(workers, wk)
-		gauges = append(gauges, workerGauges{addr: wk.addr, healthy: wk.healthy, queue: len(wk.queue), inflight: wk.inflight})
-	}
-	pending, orphans := c.pending, len(c.orphans)
-	c.mu.Unlock()
-	sort.Slice(workers, func(i, j int) bool { return workers[i].addr < workers[j].addr })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].addr < gauges[j].addr })
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.met.write(w, gauges, pending, orphans, c.probeDur, c.hub.Dropped(), time.Since(c.started).Seconds())
+	c.srv.WriteMetrics(w, "msrfleet_")
+	emit := func(name, typ, help string, v any) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+	}
+	d := c.ring
+	d.mu.Lock()
+	var workers []*worker
+	var healthy, pending int
+	var dispatched uint64
+	for _, wk := range d.workers {
+		workers = append(workers, wk)
+		healthy += up(wk)
+		pending += len(wk.queue) + wk.inflight
+		dispatched += wk.dispatched.Load()
+	}
+	sort.Slice(workers, func(i, j int) bool { return workers[i].addr < workers[j].addr })
+	perWorker := func(name, help string, v func(*worker) int) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+		for _, wk := range workers {
+			fmt.Fprintf(w, "%s{worker=%q} %d\n", name, wk.addr, v(wk))
+		}
+	}
+	emit("msrfleet_pending_units", "gauge", "Specs admitted to the ring and not yet resolved.", pending+len(d.orphans))
+	emit("msrfleet_orphan_units", "gauge", "Specs parked with no healthy worker to queue on.", len(d.orphans))
+	emit("msrfleet_workers", "gauge", "Workers in the ring.", len(workers))
+	emit("msrfleet_workers_healthy", "gauge", "Workers passing health checks.", healthy)
+	perWorker("msrfleet_worker_up", "Whether the worker passes health checks.", up)
+	perWorker("msrfleet_worker_queue_depth", "Specs queued on the worker's shard.", func(wk *worker) int { return len(wk.queue) })
+	perWorker("msrfleet_worker_inflight", "Specs dispatched to the worker and unresolved.", func(wk *worker) int { return wk.inflight })
+	d.mu.Unlock()
+
+	m := &d.met
+	emit("msrfleet_units_dispatched_total", "counter", "Specs handed to workers (retries re-count).", dispatched)
+	emit("msrfleet_units_completed_total", "counter", "Specs resolved by the ring (including dispatch failures).", m.unitsCompleted.Load())
+	emit("msrfleet_retries_total", "counter", "Specs re-queued after a worker failure.", m.retries.Load())
+	emit("msrfleet_unit_failures_total", "counter", "Specs that exhausted their attempt budget.", m.unitFailures.Load())
+	emit("msrfleet_steals_total", "counter", "Work-stealing events between shard queues.", m.steals.Load())
+	emit("msrfleet_units_stolen_total", "counter", "Specs moved by work stealing.", m.unitsStolen.Load())
+	emit("msrfleet_worker_registrations_total", "counter", "Workers added to the ring (static and dynamic).", m.registrations.Load())
+	d.probeDur.Write(w, "msrfleet_probe_duration_seconds", "Worker health probe round-trip time.")
 
 	// Union the workers' expositions under per-worker labels. Fetch
 	// concurrently (a down worker costs one timeout, not a serial stall)
@@ -144,6 +99,14 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		relabelExposition(w, texts[i], wk.addr, seenHeader)
 	}
+}
+
+// up is a worker's health as a 0/1 gauge value; callers hold d.mu.
+func up(wk *worker) int {
+	if wk.healthy {
+		return 1
+	}
+	return 0
 }
 
 // relabelExposition rewrites one worker's Prometheus text exposition,

@@ -56,14 +56,16 @@ func (j *job) start(now time.Time) {
 	j.started = now
 }
 
-// complete records the result for spec index i and publishes it. A slot
-// completes at most once: the flight observer and the post-run sweep may
-// both attempt it, the second attempt is a no-op.
-func (j *job) complete(i int, r api.Result) bool {
+// complete records the result for spec index i and publishes it to the
+// stream subscribers, then calls announce with the new done count while
+// still holding the job lock. A slot completes at most once: the flight
+// observer and the post-run sweep may both attempt it, the second
+// attempt is a no-op.
+func (j *job) complete(i int, r api.Result, announce func(done int)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.filled[i] {
-		return false
+		return
 	}
 	j.filled[i] = true
 	j.results[i] = r
@@ -79,7 +81,7 @@ func (j *job) complete(i int, r api.Result) bool {
 	j.events = append(j.events, r)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	return true
+	announce(j.done)
 }
 
 // finish marks the job done with an optional job-level error.
@@ -134,13 +136,6 @@ func (j *job) status() api.JobStatus {
 	return st
 }
 
-// doneCount reports how many specs have resolved so far.
-func (j *job) doneCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done
-}
-
 // peek returns the completion-order event at position i if it already
 // exists. When it does not, the third return is a channel closed at the
 // next publication — nil when the job is done and no further events
@@ -163,18 +158,10 @@ func (j *job) peek(i int) (api.Result, bool, <-chan struct{}) {
 // return is false when no more events will come.
 func (j *job) next(i int, cancel <-chan struct{}) (api.Result, bool) {
 	for {
-		j.mu.Lock()
-		if i < len(j.events) {
-			e := j.events[i]
-			j.mu.Unlock()
-			return e, true
+		e, ok, ch := j.peek(i)
+		if ok || ch == nil {
+			return e, ok
 		}
-		if j.state == api.StateDone {
-			j.mu.Unlock()
-			return api.Result{}, false
-		}
-		ch := j.notify
-		j.mu.Unlock()
 		select {
 		case <-ch:
 		case <-cancel:

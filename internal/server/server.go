@@ -6,17 +6,23 @@
 //
 // API (JSON; see internal/api for the shapes):
 //
-//	POST /v1/jobs              submit a batch of specs -> job id
-//	GET  /v1/jobs/{id}         job status; results once done
-//	GET  /v1/jobs/{id}/stream  NDJSON of per-simulation completions
-//	GET  /healthz              liveness ("draining" during shutdown)
-//	GET  /metrics              Prometheus text format
+//	POST /v1/jobs                 submit a batch of specs -> job id
+//	GET  /v1/jobs/{id}            job status; results once done
+//	GET  /v1/jobs/{id}/stream     NDJSON of per-simulation completions
+//	GET  /v1/jobs/{id}/intervals  NDJSON of interval telemetry, live
+//	GET  /v1/ws                   WebSocket event stream
+//	GET  /healthz                 liveness ("draining" during shutdown)
+//	GET  /readyz                  readiness (draining, backend, saturation)
+//	GET  /metrics                 Prometheus text format
 //
 // Results are cached and deduplicated by sim.Spec.CanonicalKey(): a wire
 // spec names a registry workload plus engine geometry and policies, the
 // registry builders are deterministic, so the canonical key fully
 // determines the simulation's outcome. Two jobs asking for the same key
-// share one simulation; a repeated sweep is served from cache.
+// share one simulation; a repeated sweep is served from cache. Whatever
+// the cache, store and dedup cannot answer runs on the Backend — an
+// in-process sim.Runner by default, the worker ring in a fleet
+// coordinator (internal/fleet).
 package server
 
 import (
@@ -52,7 +58,8 @@ type Config struct {
 	// simulation parallelism is bounded by Workers*SimJobs.
 	Workers int
 	// QueueLimit bounds jobs queued behind the workers; submissions
-	// beyond it are shed with 429 (<= 0 = 64).
+	// beyond it are shed with 429, and /readyz reports saturated while
+	// the queue is full (<= 0 = 64).
 	QueueLimit int
 	// CacheEntries bounds the result cache (0 = 4096; < 0 disables).
 	CacheEntries int
@@ -64,10 +71,6 @@ type Config struct {
 	// restarts. The server flushes the store's write-behind queue on
 	// Shutdown; the owner (cmd/msrd) closes it.
 	Store *store.Store
-	// ReadyThreshold is the /readyz queue-depth bound: the daemon reports
-	// not-ready once this many jobs are queued (0 = QueueLimit, i.e.
-	// ready while a submission could still be admitted).
-	ReadyThreshold int
 	// DefaultTimeout bounds each simulation's wall time unless the spec
 	// carries its own (0 = unbounded).
 	DefaultTimeout time.Duration
@@ -92,14 +95,14 @@ type Config struct {
 	// sim.Runner shares: architectural boundary states captured by one
 	// job's multi-fidelity runs are restored by later jobs over the same
 	// program, skipping their functional fast-forward entirely. nil gets
-	// a daemon-owned in-memory store (default bound), so /metrics always
-	// reports the store the runners actually use. The owner (cmd/msrd)
-	// flushes and closes a disk-backed store.
+	// a daemon-owned in-memory store (default bound) when Backend is nil,
+	// so /metrics always reports the store the runners actually use. The
+	// owner (cmd/msrd) flushes and closes a disk-backed store.
 	Checkpoints *ckpt.Store
-	// Backend overrides how leader specs are executed. nil (the normal
-	// case) builds a sim.Runner per job, wired with an observer that
-	// publishes completions live; tests inject controllable fakes.
-	Backend sim.Backend
+	// Backend executes leader specs (nil = a sim.Runner per job built
+	// from SimJobs, DefaultTimeout, Batch and Checkpoints). The fleet
+	// coordinator plugs in its worker ring; tests inject fakes.
+	Backend Backend
 	// Logger receives the daemon's structured logs: one line per HTTP
 	// request (request id, method, path, status, duration) and the job
 	// lifecycle (submit, start with queue latency, finish with outcome).
@@ -117,17 +120,17 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.ReadyThreshold <= 0 {
-		c.ReadyThreshold = c.QueueLimit
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
 	if c.WSWriteTimeout <= 0 {
 		c.WSWriteTimeout = 10 * time.Second
 	}
-	if c.Checkpoints == nil {
-		c.Checkpoints = ckpt.NewMemory(0)
+	if c.Backend == nil {
+		if c.Checkpoints == nil {
+			c.Checkpoints = ckpt.NewMemory(0)
+		}
+		c.Backend = runners(c)
 	}
 	if c.Logger == nil {
 		// A handler at a level no record reaches; slog.DiscardHandler
@@ -314,6 +317,18 @@ func (s *Server) worker() {
 
 // ---------------------------------------------------------- execution ---
 
+// cached reports whether the memory cache holds every spec's result.
+// The lookups count nothing (runJob counts the hits) and mark each entry
+// most recently used, so the LRU keeps it for the runJob that follows.
+func (s *Server) cached(specs []sim.Spec) bool {
+	for i := range specs {
+		if _, ok := s.cache.get(specs[i].CanonicalKey()); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // runJob resolves every spec of the job: cache hit, join of an identical
 // in-flight simulation, or a fresh run (as the flight leader for that
 // canonical key).
@@ -351,9 +366,7 @@ func (s *Server) runJob(j *job) {
 		if res, ok := s.cache.get(ck); ok {
 			s.metrics.cacheHits.Add(1)
 			res.Index, res.Key, res.Source, res.WallNS = i, sp.Key(), api.SourceCache, 0
-			if j.complete(i, res) {
-				s.publishSpecDone(j, res)
-			}
+			s.complete(j, res)
 			continue
 		}
 		s.metrics.cacheMisses.Add(1)
@@ -364,9 +377,7 @@ func (s *Server) runJob(j *job) {
 				// into memory, and run nothing.
 				s.cache.put(ck, res)
 				res.Index, res.Key, res.Source, res.WallNS = i, sp.Key(), api.SourceStore, 0
-				if j.complete(i, res) {
-					s.publishSpecDone(j, res)
-				}
+				s.complete(j, res)
 				continue
 			}
 		}
@@ -386,28 +397,22 @@ func (s *Server) runJob(j *job) {
 	}
 
 	if len(leaders) > 0 {
-		backend := s.cfg.Backend
-		if backend == nil {
-			backend = &sim.Runner{
-				Jobs:        s.cfg.SimJobs,
-				Timeout:     s.cfg.DefaultTimeout,
-				Batching:    s.cfg.Batch,
-				Checkpoints: s.cfg.Checkpoints,
-				Observer: &flightObserver{
-					s: s, j: j, idx: leaderIdx, flights: leaderFlights,
-				},
-				// Live telemetry taps: non-blocking hub publishes straight
-				// from the simulation goroutines. With no subscribers each
-				// is one atomic load, preserving the cycle loop's
-				// zero-allocation discipline.
-				OnInterval: func(index int, key string, iv obs.Interval) {
-					s.hub.Publish(events.Event{Type: events.TypeInterval, Job: j.id, Key: key, Interval: iv})
-				},
-				OnWindow: func(index int, key string, window, windows int) {
-					s.hub.Publish(events.Event{Type: events.TypeWindow, Job: j.id, Key: key, Window: window, Windows: windows})
-				},
-			}
-		}
+		fo := &flightObserver{s: s, j: j, idx: leaderIdx, flights: leaderFlights}
+		backend := s.cfg.Backend.Job(JobHooks{
+			Job:      j.id,
+			Observer: fo,
+			Resolve:  fo.resolve,
+			// Live telemetry taps: non-blocking hub publishes straight
+			// from the simulation goroutines. With no subscribers each is
+			// one atomic load, preserving the cycle loop's zero-allocation
+			// discipline.
+			OnInterval: func(index int, key string, iv obs.Interval) {
+				s.hub.Publish(events.Event{Type: events.TypeInterval, Job: j.id, Key: key, Interval: iv})
+			},
+			OnWindow: func(index int, key string, window, windows int) {
+				s.hub.Publish(events.Event{Type: events.TypeWindow, Job: j.id, Key: key, Window: window, Windows: windows})
+			},
+		})
 		results, _ := backend.Run(ctx, leaders)
 		// The observer already completed everything it saw finish; this
 		// sweep covers custom backends and jobs the cancellation kept
@@ -422,7 +427,7 @@ func (s *Server) runJob(j *job) {
 			if r.Err == nil && r.Stats == nil && results == nil {
 				r.Err = errors.New("backend returned no result")
 			}
-			s.finishLeader(j, leaderIdx[k], leaderFlights[k], r)
+			s.finishLeader(j, leaderIdx[k], leaderFlights[k], api.ResultFromSim(r, api.SourceRun))
 		}
 	}
 
@@ -431,20 +436,15 @@ func (s *Server) runJob(j *job) {
 		case <-w.f.done:
 			r := w.f.res
 			r.Index, r.Key, r.Source = w.idx, j.specs[w.idx].Key(), api.SourceDedup
-			if j.complete(w.idx, r) {
-				s.publishSpecDone(j, r)
-			}
+			s.complete(j, r)
 		case <-ctx.Done():
-			res := api.Result{
+			s.complete(j, api.Result{
 				Index:    w.idx,
 				Key:      j.specs[w.idx].Key(),
 				CacheKey: j.specs[w.idx].CanonicalKey(),
 				Source:   api.SourceDedup,
 				Error:    ctx.Err().Error(),
-			}
-			if j.complete(w.idx, res) {
-				s.publishSpecDone(j, res)
-			}
+			})
 		}
 	}
 
@@ -471,35 +471,17 @@ func (s *Server) runJob(j *job) {
 		"duration_ms", float64(st.Finished.Sub(st.Started).Microseconds())/1000)
 }
 
-// finishLeader converts a leader's sim result, settles its flight
-// (caching successes, waking followers) and records it on the job. Safe
-// to call more than once per flight; only the first call takes effect.
-func (s *Server) finishLeader(j *job, idx int, f *flight, r sim.Result) {
-	res := api.ResultFromSim(r, api.SourceRun)
-	res.Index = idx
+// finishLeader settles a leader's flight with its result (caching
+// successes, waking followers) and records it on the job. Only a result
+// whose Source is SourceRun counts as a simulation on /metrics. Safe to
+// call more than once per flight; only the first call takes effect.
+func (s *Server) finishLeader(j *job, idx int, f *flight, res api.Result) {
+	sp := &j.specs[idx]
+	res.Index, res.Key, res.CacheKey = idx, sp.Key(), sp.CanonicalKey()
 	f.once.Do(func() {
-		s.metrics.simsRun.Add(1)
-		if r.Err != nil {
-			s.metrics.simsFailed.Add(1)
-			s.log.Warn("sim failed", "job_id", j.id, "spec_key", res.CacheKey, "error", r.Err.Error())
-		} else {
-			s.log.Debug("sim done", "job_id", j.id, "spec_key", res.CacheKey,
-				"wall_ms", float64(r.Wall.Microseconds())/1000)
+		if res.Source == api.SourceRun {
+			s.countSim(j, res)
 		}
-		if r.Stats != nil {
-			s.metrics.simCycles.Add(r.Stats.Cycles)
-			s.metrics.simRetired.Add(r.Stats.Retired)
-			s.metrics.l1dHits.Add(r.Stats.L1DHits)
-			s.metrics.l1dMisses.Add(r.Stats.L1DMisses)
-			s.metrics.l1dEvictions.Add(r.Stats.L1DEvictions)
-			s.metrics.l2Hits.Add(r.Stats.L2Hits)
-			s.metrics.l2Misses.Add(r.Stats.L2Misses)
-			s.metrics.l2Evictions.Add(r.Stats.L2Evictions)
-			s.metrics.dramAccesses.Add(r.Stats.DRAMAccesses)
-		}
-		s.metrics.simWallNS.Add(r.Wall.Nanoseconds())
-		s.metrics.simDur.Observe(r.Wall)
-
 		canonical := res
 		canonical.Index = -1
 		canonical.Key = res.CacheKey
@@ -519,29 +501,55 @@ func (s *Server) finishLeader(j *job, idx int, f *flight, r sim.Result) {
 		s.flightMu.Unlock()
 		close(f.done)
 	})
-	if j.complete(idx, res) {
-		s.publishSpecDone(j, res)
-	}
+	s.complete(j, res)
 }
 
-// publishSpecDone broadcasts one completed spec on the event bus. Call
-// it only after j.complete accepted the result, so the bus sees each
-// slot resolve exactly once and Done counts monotonically.
-func (s *Server) publishSpecDone(j *job, res api.Result) {
-	ev := events.Event{
-		Type:            events.TypeSpecDone,
-		Job:             j.id,
-		Key:             res.Key,
-		Source:          res.Source,
-		Done:            j.doneCount(),
-		WallMS:          float64(res.WallNS) / 1e6,
-		IPC:             res.IPC,
-		Extrapolated:    res.Extrapolated,
-		ExtrapolatedIPC: res.ExtrapolatedIPC,
-		IPCErrorEst:     res.IPCErrorEst,
-		Error:           res.Error,
+// countSim adds one executed simulation to the metrics.
+func (s *Server) countSim(j *job, res api.Result) {
+	wall := time.Duration(res.WallNS)
+	s.metrics.simsRun.Add(1)
+	if res.Error != "" {
+		s.metrics.simsFailed.Add(1)
+		s.log.Warn("sim failed", "job_id", j.id, "spec_key", res.CacheKey, "error", res.Error)
+	} else {
+		s.log.Debug("sim done", "job_id", j.id, "spec_key", res.CacheKey,
+			"wall_ms", float64(wall.Microseconds())/1000)
 	}
-	s.hub.Publish(ev)
+	if st := res.Stats; st != nil {
+		s.metrics.simCycles.Add(st.Cycles)
+		s.metrics.simRetired.Add(st.Retired)
+		s.metrics.l1dHits.Add(st.L1DHits)
+		s.metrics.l1dMisses.Add(st.L1DMisses)
+		s.metrics.l1dEvictions.Add(st.L1DEvictions)
+		s.metrics.l2Hits.Add(st.L2Hits)
+		s.metrics.l2Misses.Add(st.L2Misses)
+		s.metrics.l2Evictions.Add(st.L2Evictions)
+		s.metrics.dramAccesses.Add(st.DRAMAccesses)
+	}
+	s.metrics.simWallNS.Add(res.WallNS)
+	s.metrics.simDur.Observe(wall)
+}
+
+// complete records res in its job slot and, if the slot was still open,
+// broadcasts the spec_done event. The job publishes under its own lock,
+// so each slot resolves on the bus exactly once and Done counts up in
+// publication order.
+func (s *Server) complete(j *job, res api.Result) {
+	j.complete(res.Index, res, func(done int) {
+		s.hub.Publish(events.Event{
+			Type:            events.TypeSpecDone,
+			Job:             j.id,
+			Key:             res.Key,
+			Source:          res.Source,
+			Done:            done,
+			WallMS:          float64(res.WallNS) / 1e6,
+			IPC:             res.IPC,
+			Extrapolated:    res.Extrapolated,
+			ExtrapolatedIPC: res.ExtrapolatedIPC,
+			IPCErrorEst:     res.IPCErrorEst,
+			Error:           res.Error,
+		})
+	})
 }
 
 // flightObserver publishes leader completions as they happen, so stream
@@ -559,6 +567,11 @@ func (o *flightObserver) OnStart(index, total int, key string) {
 }
 
 func (o *flightObserver) OnFinish(index, total int, r sim.Result) {
+	o.resolve(index, api.ResultFromSim(r, api.SourceRun))
+}
+
+// resolve is the job's JobHooks.Resolve.
+func (o *flightObserver) resolve(index int, r api.Result) {
 	o.s.finishLeader(o.j, o.idx[index], o.flights[index], r)
 }
 
@@ -592,6 +605,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A job the cache holds whole runs right here, without the backend
+	// and without a queue slot, so it is neither shed nor held behind
+	// jobs whose specs are simulating.
+	inline := s.cached(specs)
+	if !inline {
+		if err := s.cfg.Backend.Ready(); err != nil {
+			s.writeError(w, http.StatusServiceUnavailable, err)
+			return
+		}
+	}
 	j := newJob(fmt.Sprintf("j%d", s.nextID.Add(1)), specs, time.Now())
 	s.mu.Lock()
 	if s.closed {
@@ -599,12 +622,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	admitted := false
-	select {
-	case s.queue <- j:
+	// Sends happen only under s.mu, so a free slot stays free until the
+	// send below; job_queued goes out first so no worker's job_start can
+	// overtake it on the bus.
+	admitted := inline || len(s.queue) < cap(s.queue)
+	if admitted {
 		s.jobs[j.id] = j
-		admitted = true
-	default:
+		s.hub.Publish(events.Event{Type: events.TypeJobQueued, Job: j.id, Specs: len(specs)})
+		if !inline {
+			s.queue <- j
+		}
 	}
 	s.mu.Unlock()
 
@@ -620,30 +647,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobsSubmitted.Add(1)
-	s.hub.Publish(events.Event{Type: events.TypeJobQueued, Job: j.id, Specs: len(specs)})
 	s.log.Info("job submitted", "job_id", j.id, "specs", len(specs))
+	if inline {
+		s.runJob(j)
+	}
 	writeJSON(w, http.StatusAccepted, api.SubmitResponse{JobID: j.id, Total: len(specs)})
 }
 
-func (s *Server) lookup(id string) *job {
+// lookup finds the job named by the request path, answering 404 itself
+// when there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	j := s.jobs[r.PathValue("id")]
+	s.mu.Unlock()
+	if j == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	}
+	return j
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(w, r)
 	if j == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(w, r)
 	if j == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	s.metrics.streamConns.Add(1)
@@ -693,9 +726,8 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 // overwritten, minus frames lost to a saturated subscriber buffer,
 // which msrd_ws_dropped_total counts).
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(w, r)
 	if j == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	s.metrics.streamConns.Add(1)
@@ -825,19 +857,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady is the orchestration readiness probe: 200 only when the
-// daemon is not draining and its admission queue is below the readiness
-// threshold. The fleet coordinator treats liveness (/healthz) and
-// readiness separately — a saturated worker is alive but should not be
-// handed new work.
+// daemon is not draining, its backend is ready and its admission queue
+// has room. The fleet coordinator treats
+// liveness (/healthz) and readiness separately — a saturated worker is
+// alive but should not be handed new work.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	depth := len(s.queue)
+	berr := s.cfg.Backend.Ready()
 	switch {
 	case closed:
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "draining"})
-	case depth >= s.cfg.ReadyThreshold:
+	case berr != nil:
+		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": berr.Error()})
+	case depth >= s.cfg.QueueLimit:
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "saturated", "queue_depth": depth})
 	default:
 		writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ready", "queue_depth": depth})
@@ -846,35 +881,14 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var st storeStats
-	if s.cfg.Store != nil {
-		c := s.cfg.Store.Counters()
-		st = storeStats{
-			entries:   s.cfg.Store.Len(),
-			bytes:     s.cfg.Store.Size(),
-			hits:      c.Hits,
-			misses:    c.Misses,
-			evictions: c.Evictions,
-			corrupt:   c.Corrupt,
-		}
-	}
-	var ck ckptStats
-	if s.cfg.Checkpoints != nil {
-		c := s.cfg.Checkpoints.Counters()
-		ck = ckptStats{
-			entries:      s.cfg.Checkpoints.Len(),
-			bytes:        s.cfg.Checkpoints.Size(),
-			diskEntries:  s.cfg.Checkpoints.DiskLen(),
-			diskBytes:    s.cfg.Checkpoints.DiskSize(),
-			hits:         c.Hits,
-			misses:       c.Misses,
-			bytesRead:    c.BytesRead,
-			bytesWritten: c.BytesWritten,
-			evictions:    c.Evictions,
-			corrupt:      c.Corrupt,
-		}
-	}
-	s.metrics.write(w, len(s.queue), s.cache.len(), st, ck, s.hub.Dropped(), time.Since(s.started).Seconds())
+	s.WriteMetrics(w, "msrd_")
+}
+
+// WriteMetrics renders the daemon's exposition with every series name
+// under prefix: msrd_ on /metrics, msrfleet_ when a fleet coordinator
+// unions it with its workers' msrd_* series.
+func (s *Server) WriteMetrics(w io.Writer, prefix string) {
+	s.metrics.write(w, prefix, len(s.queue), s.cache.len(), s.cfg.Store, s.cfg.Checkpoints, s.hub.Dropped(), time.Since(s.started).Seconds())
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {

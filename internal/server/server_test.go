@@ -18,6 +18,15 @@ import (
 	"mssr/internal/stats"
 )
 
+// fixed adapts a hook-less test backend to the server's Backend seam:
+// every job's leaders run on it, and their completions publish when its
+// Run returns.
+type fixed struct{ sim.Backend }
+
+func (f fixed) Job(server.JobHooks) sim.Backend { return f.Backend }
+
+func (fixed) Ready() error { return nil }
+
 // blockingBackend holds every Run until release is closed (or the run
 // context is cancelled), letting tests pin the daemon in the "worker
 // busy" state deterministically. started receives one signal per Run.
@@ -303,7 +312,7 @@ func TestQueueFullSheds429(t *testing.T) {
 		Workers:    1,
 		QueueLimit: 1,
 		RetryAfter: retryAfter,
-		Backend:    backend,
+		Backend:    fixed{backend},
 	})
 	ctx := context.Background()
 	spec := func(entries int) []api.Spec {
@@ -376,9 +385,85 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 }
 
+// TestCachedJobSkipsTheQueue pins that a job the cache holds whole is
+// answered at submission: with the only worker busy and the queue full,
+// it is neither shed nor held behind the queued job.
+func TestCachedJobSkipsTheQueue(t *testing.T) {
+	started, hold := make(chan struct{}, 4), make(chan struct{})
+	backend := backendFunc(func(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+		if specs[0].Entries == 16 {
+			started <- struct{}{}
+			select {
+			case <-hold:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return (&sim.Runner{}).Run(ctx, specs)
+	})
+	_, _, c := newTestDaemon(t, server.Config{Workers: 1, QueueLimit: 1, Backend: fixed{backend}})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	spec := func(entries int) []api.Spec {
+		return []api.Spec{{Workload: "pr", Scale: 0, Engine: "rgid", Streams: 1, Entries: entries}}
+	}
+	submit := func(cl *client.Client, entries int) string {
+		t.Helper()
+		sub, err := cl.Submit(ctx, spec(entries))
+		if err != nil {
+			t.Fatalf("submit entries=%d: %v", entries, err)
+		}
+		return sub.JobID
+	}
+
+	if _, err := c.Wait(ctx, submit(c, 8)); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	held := submit(c, 16)
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("the held job never started")
+	}
+	queued := submit(c, 32)
+
+	noRetry := client.New(c.BaseURL)
+	noRetry.SubmitRetries = -1
+	noRetry.PollInterval = 2 * time.Millisecond
+	hitCtx, hitCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer hitCancel()
+	st, err := noRetry.Wait(hitCtx, submit(noRetry, 8))
+	if err != nil {
+		t.Fatalf("cached job did not complete past the full queue: %v", err)
+	}
+	if st.CacheHits != 1 || st.Results[0].Source != api.SourceCache {
+		t.Errorf("cached job cache hits = %d source %q, want 1 %q", st.CacheHits, st.Results[0].Source, api.SourceCache)
+	}
+
+	release()
+	for _, id := range []string{held, queued} {
+		if st, err := c.Wait(ctx, id); err != nil || st.Results[0].Error != "" {
+			t.Fatalf("draining %s: err=%v status=%+v", id, err, st)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if v := metricValue(t, m, "msrd_jobs_rejected_total"); v != 0 {
+		t.Errorf("msrd_jobs_rejected_total = %v, want 0", v)
+	}
+	if v := metricValue(t, m, "msrd_jobs_submitted_total"); v != 4 {
+		t.Errorf("msrd_jobs_submitted_total = %v, want 4", v)
+	}
+}
+
 func TestInFlightDedup(t *testing.T) {
 	backend := newBlockingBackend()
-	_, _, c := newTestDaemon(t, server.Config{Workers: 2, Backend: backend})
+	_, _, c := newTestDaemon(t, server.Config{Workers: 2, Backend: fixed{backend}})
 	ctx := context.Background()
 	spec := []api.Spec{{Workload: "bfs", Scale: 0, Engine: "rgid", Streams: 2, Entries: 32}}
 
@@ -450,7 +535,7 @@ func TestInFlightDedup(t *testing.T) {
 
 func TestGracefulShutdownDrains(t *testing.T) {
 	backend := newBlockingBackend()
-	srv, ts, c := newTestDaemon(t, server.Config{Workers: 1, Backend: backend})
+	srv, ts, c := newTestDaemon(t, server.Config{Workers: 1, Backend: fixed{backend}})
 	ctx := context.Background()
 	spec := []api.Spec{{Workload: "cc", Scale: 0}}
 
@@ -507,7 +592,7 @@ func TestShutdownDeadlineCancelsRuns(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	srv, _, c := newTestDaemon(t, server.Config{Workers: 1, Backend: wedged})
+	srv, _, c := newTestDaemon(t, server.Config{Workers: 1, Backend: fixed{wedged}})
 	ctx := context.Background()
 
 	sub, err := c.Submit(ctx, []api.Spec{{Workload: "tc", Scale: 0}})

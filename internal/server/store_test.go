@@ -66,7 +66,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	// First life: run cold, let the results reach disk.
 	st1 := openStore(t, dir)
 	b1 := &countingBackend{}
-	srv1 := server.New(server.Config{Backend: b1, Store: st1})
+	srv1 := server.New(server.Config{Backend: fixed{b1}, Store: st1})
 	ts1 := newDaemonOver(t, srv1)
 	sub, err := ts1.Submit(ctx, specs)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("reopened store holds %d results, want %d", st2.Len(), len(specs))
 	}
 	b2 := &countingBackend{}
-	srv2 := server.New(server.Config{Backend: b2, Store: st2})
+	srv2 := server.New(server.Config{Backend: fixed{b2}, Store: st2})
 	ts2 := newDaemonOver(t, srv2)
 	t.Cleanup(func() {
 		c, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -172,7 +172,7 @@ func TestCacheEvictsIntoStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	t.Cleanup(st.Close)
 	b := &countingBackend{}
-	srv := server.New(server.Config{Backend: b, Store: st, CacheEntries: 1})
+	srv := server.New(server.Config{Backend: fixed{b}, Store: st, CacheEntries: 1})
 	c := newDaemonOver(t, srv)
 	t.Cleanup(func() {
 		sc, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -228,7 +228,7 @@ func TestCacheEvictsIntoStore(t *testing.T) {
 // saturated, 503 while draining.
 func TestReadyz(t *testing.T) {
 	backend := newBlockingBackend()
-	srv, ts, c := newTestDaemon(t, server.Config{Workers: 1, QueueLimit: 1, Backend: backend})
+	srv, ts, c := newTestDaemon(t, server.Config{Workers: 1, QueueLimit: 1, Backend: fixed{backend}})
 	ctx := context.Background()
 
 	if err := c.Ready(ctx); err != nil {
