@@ -105,7 +105,7 @@ func main() {
 
 	var ck *ckpt.Store
 	if *ckptDir != "" {
-		ck, err = ckpt.Open(*ckptDir, 0, *ckptMaxMB<<20, logger)
+		ck, err = ckpt.Open(*ckptDir, ckpt.DefaultMemBytes, *ckptMaxMB<<20, logger)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "msrd: opening checkpoint store:", err)
 			os.Exit(1)

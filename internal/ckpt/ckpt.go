@@ -1,25 +1,27 @@
-// Package ckpt is the content-addressed checkpoint store behind
-// checkpoint-accelerated multi-fidelity sampling: a bounded in-memory
-// blob cache, optionally backed by a disk tier, mapping checkpoint keys
-// (a spec's sim.Spec.CheckpointKey plus a sample-period suffix) to
-// serialized architectural states (emu.ArchState.AppendBinary) and phase
-// profiles. Any sweep over the same program and fidelity geometry —
-// every config of a batch, every re-run, every fleet worker the spec
-// rendezvous-homes to — restores a boundary in O(state) instead of
-// re-emulating O(instructions) of functional prefix.
+// Package ckpt is the repository's one content-addressed blob store: a
+// map from string keys to immutable byte blobs, held in a bounded
+// in-memory LRU over an optional disk tier. It stores three kinds of
+// blob, each under its own key space: serialized architectural states
+// (emu.ArchState.AppendBinary) keyed by a spec's sim.Spec.CheckpointKey
+// plus a position suffix, the JSON phase profiles of sim's phase
+// selection, and msrd's completed wire results, which internal/store
+// encodes and decodes over a disk-only Store. Any sweep over the same
+// program and fidelity geometry — every config of a batch, every re-run,
+// every fleet worker the spec rendezvous-homes to — restores a boundary
+// in O(state) instead of re-emulating O(instructions) of functional
+// prefix.
 //
 // The memory tier is an LRU bounded by total blob bytes; Get returns the
-// stored slice without copying (blobs are immutable by contract — the
-// emu encoding is consumed read-only). The disk tier mirrors
-// internal/store's proven shape: each blob lives in its own file under a
-// two-level fanout of the key's SHA-256, written temp-file-then-rename
-// so readers never observe a partial write, framed in a self-describing
-// envelope (magic, version, key, FNV-1a payload checksum) so Open can
-// rebuild the index without a manifest and any corruption is counted,
-// logged and deleted rather than restored. Writes go through a bounded
-// write-behind queue drained by a single writer goroutine: capturing a
-// checkpoint never blocks a simulation, and a full queue drops the write
-// (counted) instead of stalling.
+// stored slice without copying (blobs are immutable by contract). A
+// memory bound of 0 means no memory tier at all. On disk, each blob lives
+// in its own file under a two-level fanout of the key's SHA-256, written
+// temp-file-then-rename so readers never observe a partial write, framed
+// in a self-describing envelope (magic "msrK", version, key, FNV-1a
+// payload checksum) so Open can rebuild the index without a manifest and
+// any corruption is counted, logged and deleted rather than served.
+// Writes go through a bounded write-behind queue drained by a single
+// writer goroutine: a Put never blocks its caller, and a full queue drops
+// the write (counted) instead of stalling.
 package ckpt
 
 import (
@@ -27,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -41,8 +44,9 @@ import (
 	"time"
 )
 
-// DefaultMemBytes bounds the in-memory tier when the caller passes 0:
-// enough for the checkpoint sets of several standard-scale sweeps.
+// DefaultMemBytes is the memory bound of the checkpoint stores the server
+// and sim.Runner create for themselves and of msrd -ckpt: enough for the
+// checkpoint sets of several standard-scale sweeps.
 const DefaultMemBytes = 256 << 20
 
 const (
@@ -66,8 +70,8 @@ type Counters struct {
 	// Corrupt counts disk entries dropped because their envelope failed
 	// verification (at Open or at read time).
 	Corrupt uint64
-	// Dropped counts PutAsync writes discarded because the write-behind
-	// queue was full.
+	// Dropped counts disk writes discarded because the write-behind
+	// queue was full or the store was closed.
 	Dropped uint64
 	// WriteErrors counts disk write failures (disk full, permissions).
 	WriteErrors uint64
@@ -79,10 +83,11 @@ type entry struct {
 	size int64
 }
 
-// Store is a bounded checkpoint blob store, safe for concurrent use.
+// Store is a bounded content-addressed blob store, safe for concurrent
+// use.
 type Store struct {
 	dir      string // "" = memory-only
-	memBytes int64
+	memBytes int64  // < 0 = unbounded, 0 = no memory tier
 	dskBytes int64
 	log      *slog.Logger
 
@@ -113,14 +118,14 @@ type writeReq struct {
 }
 
 // NewMemory returns a memory-only store bounded to maxBytes of blobs
-// (0 = DefaultMemBytes, < 0 = unbounded).
+// (< 0 = unbounded).
 func NewMemory(maxBytes int64) *Store {
 	s, _ := open("", maxBytes, 0, nil)
 	return s
 }
 
 // Open loads (or creates) a disk-backed store rooted at dir, holding up
-// to memBytes of blobs in memory (0 = DefaultMemBytes, < 0 = unbounded)
+// to memBytes of blobs in memory (0 = no memory tier, < 0 = unbounded)
 // and diskBytes on disk (<= 0 = unbounded). The disk index is rebuilt by
 // walking the fanout tree: entries failing verification are counted as
 // corrupt and removed, stale temp files are cleaned up, and the disk LRU
@@ -135,9 +140,6 @@ func Open(dir string, memBytes, diskBytes int64, logger *slog.Logger) (*Store, e
 func open(dir string, memBytes, diskBytes int64, logger *slog.Logger) (*Store, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-	}
-	if memBytes == 0 {
-		memBytes = DefaultMemBytes
 	}
 	s := &Store{
 		dir:      dir,
@@ -184,10 +186,14 @@ func (s *Store) load() error {
 		if !strings.HasSuffix(path, fileExt) {
 			return nil
 		}
-		key, blob, verr := readEnvelope(path)
+		b, verr := os.ReadFile(path)
+		var key string
+		if verr == nil {
+			key, _, verr = decodeEnvelope(b)
+		}
 		if verr != nil || s.path(key) != path {
 			s.corrupt.Add(1)
-			s.log.Warn("ckpt: dropping corrupt checkpoint", "path", path, "key", key, "error", fmt.Sprint(verr))
+			s.log.Warn("ckpt: dropping corrupt entry", "path", path, "key", key, "error", fmt.Sprint(verr))
 			_ = os.Remove(path)
 			return nil
 		}
@@ -196,14 +202,14 @@ func (s *Store) load() error {
 		if ierr == nil {
 			mtime = info.ModTime().UnixNano()
 		}
-		all = append(all, found{entry{key: key, size: int64(len(blob))}, mtime})
+		all = append(all, found{entry{key: key, size: int64(len(b))}, mtime})
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("ckpt: indexing %s: %w", s.dir, err)
 	}
-	// Oldest first, so the most recently written checkpoints end up at
-	// the front of the disk LRU order.
+	// Oldest first, so the most recently written entries end up at the
+	// front of the disk LRU order.
 	sort.Slice(all, func(i, j int) bool { return all[i].mtime < all[j].mtime })
 	for i := range all {
 		e := all[i].e
@@ -213,7 +219,7 @@ func (s *Store) load() error {
 	return nil
 }
 
-// path maps a checkpoint key onto its fanout file path.
+// path maps a key onto its fanout file path.
 func (s *Store) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	h := hex.EncodeToString(sum[:])
@@ -235,14 +241,22 @@ func encodeEnvelope(key string, blob []byte) []byte {
 	return append(b, blob...)
 }
 
-// readEnvelope reads and verifies one checkpoint file, returning its key
-// and payload.
+// readEnvelope reads and verifies one entry file, returning its key and
+// payload. A missing file is reported as an fs.ErrNotExist error.
 func readEnvelope(path string) (string, []byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, err
 	}
-	if len(b) < 4+4+4 {
+	return decodeEnvelope(b)
+}
+
+// decodeEnvelope verifies one envelope and returns its key and payload
+// (a subslice of b). Any input it accepts is exactly what encodeEnvelope
+// produces for the returned key and payload.
+func decodeEnvelope(b []byte) (string, []byte, error) {
+	const hdr = 4 + 4 + 4
+	if len(b) < hdr {
 		return "", nil, fmt.Errorf("truncated envelope (%d bytes)", len(b))
 	}
 	if [4]byte(b[:4]) != envelopeMagic {
@@ -251,14 +265,15 @@ func readEnvelope(path string) (string, []byte, error) {
 	if v := binary.LittleEndian.Uint32(b[4:]); v != envelopeVersion {
 		return "", nil, fmt.Errorf("unknown envelope version %d", v)
 	}
-	klen := int(binary.LittleEndian.Uint32(b[8:]))
-	if len(b) < 12+klen+16 {
+	klen := uint64(binary.LittleEndian.Uint32(b[8:]))
+	if uint64(len(b)-hdr) < klen+16 {
 		return "", nil, fmt.Errorf("truncated envelope key")
 	}
-	key := string(b[12 : 12+klen])
-	sum := binary.LittleEndian.Uint64(b[12+klen:])
-	plen := binary.LittleEndian.Uint64(b[12+klen+8:])
-	blob := b[12+klen+16:]
+	key := string(b[hdr : hdr+klen])
+	rest := b[hdr+klen:]
+	sum := binary.LittleEndian.Uint64(rest)
+	plen := binary.LittleEndian.Uint64(rest[8:])
+	blob := rest[16:]
 	if uint64(len(blob)) != plen {
 		return key, nil, fmt.Errorf("payload length %d, envelope declares %d", len(blob), plen)
 	}
@@ -271,23 +286,25 @@ func readEnvelope(path string) (string, []byte, error) {
 }
 
 // Get returns the blob stored under key, or (nil, false). The returned
-// slice is the store's copy and must be treated as read-only. A disk hit
-// is promoted into the memory tier; a corrupt disk entry is counted,
-// logged and removed (a miss).
+// slice is the store's copy and must be treated as read-only. A hit in
+// either tier moves the key to the front of both LRU orders it is in; a
+// disk hit is promoted into the memory tier and also persisted to the
+// file's mtime, so the order a restart rebuilds reflects disk reads and
+// writes only. A corrupt disk entry is counted, logged and removed (a
+// miss); an entry whose file has vanished — evicted by a concurrent
+// write, or removed by hand — is a plain miss.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
 		s.order.MoveToFront(el)
+		if del, ok := s.dentries[key]; ok {
+			s.dorder.MoveToFront(del)
+		}
 		blob := el.Value.(*entry).blob
 		s.mu.Unlock()
 		s.hits.Add(1)
 		s.bytesRead.Add(uint64(len(blob)))
 		return blob, true
-	}
-	if s.dentries == nil {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
 	}
 	del, onDisk := s.dentries[key]
 	s.mu.Unlock()
@@ -297,19 +314,20 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	path := s.path(key)
 	gotKey, blob, err := readEnvelope(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		s.dropDisk(key, del)
+		s.misses.Add(1)
+		return nil, false
+	}
 	if err == nil && gotKey != key {
 		err = fmt.Errorf("envelope key %q does not match requested key", gotKey)
 	}
 	if err != nil {
-		s.mu.Lock()
-		if cur, ok := s.dentries[key]; ok && cur == del {
-			s.removeDiskLocked(cur)
-		}
-		s.mu.Unlock()
+		s.dropDisk(key, del)
 		_ = os.Remove(path)
 		s.corrupt.Add(1)
 		s.misses.Add(1)
-		s.log.Warn("ckpt: corrupt checkpoint read", "key", key, "error", err.Error())
+		s.log.Warn("ckpt: corrupt entry read", "path", path, "key", key, "error", err.Error())
 		return nil, false
 	}
 	s.mu.Lock()
@@ -327,6 +345,16 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return blob, true
 }
 
+// dropDisk removes key's disk index entry if it is still el, the one a
+// failed read looked up: a concurrent write may have replaced it since.
+func (s *Store) dropDisk(key string, el *list.Element) {
+	s.mu.Lock()
+	if cur, ok := s.dentries[key]; ok && cur == el {
+		s.removeDiskLocked(cur)
+	}
+	s.mu.Unlock()
+}
+
 // Contains reports whether key is present in either tier, without
 // touching recency or counters.
 func (s *Store) Contains(key string) bool {
@@ -335,30 +363,23 @@ func (s *Store) Contains(key string) bool {
 	if _, ok := s.entries[key]; ok {
 		return true
 	}
-	if s.dentries != nil {
-		if _, ok := s.dentries[key]; ok {
-			return true
-		}
-	}
-	return false
+	_, ok := s.dentries[key]
+	return ok
 }
 
-// Put stores blob under key in the memory tier and, when a disk tier
-// exists, queues a write-behind persist. The store keeps the slice:
-// the caller must not mutate it afterwards (checkpoint captures hand
-// over a freshly encoded buffer).
+// Put stores blob under key in the memory tier (if there is one) and,
+// when a disk tier exists, queues a write-behind persist. The store keeps
+// the slice: the caller must not mutate it afterwards (checkpoint
+// captures hand over a freshly encoded buffer).
 func (s *Store) Put(key string, blob []byte) {
 	s.mu.Lock()
 	s.insertMemLocked(key, blob)
-	alreadyOnDisk := false
-	if s.dentries != nil {
-		_, alreadyOnDisk = s.dentries[key]
-	}
+	_, alreadyOnDisk := s.dentries[key]
 	s.mu.Unlock()
 	s.bytesWritten.Add(uint64(len(blob)))
 	if s.dir == "" || alreadyOnDisk {
-		// Checkpoint contents are deterministic per key; rewriting an
-		// entry already on disk is pure churn.
+		// Blob contents are deterministic per key; rewriting an entry
+		// already on disk is pure churn.
 		return
 	}
 	s.qmu.Lock()
@@ -375,8 +396,12 @@ func (s *Store) Put(key string, blob []byte) {
 }
 
 // insertMemLocked installs (or refreshes) a memory-tier entry and
-// enforces the memory bound.
+// enforces the memory bound. It does nothing when there is no memory
+// tier.
 func (s *Store) insertMemLocked(key string, blob []byte) {
+	if s.memBytes == 0 {
+		return
+	}
 	if el, ok := s.entries[key]; ok {
 		e := el.Value.(*entry)
 		s.memSize += int64(len(blob)) - e.size
@@ -408,7 +433,7 @@ func (s *Store) writeDisk(key string, blob []byte) {
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		s.writeErrors.Add(1)
-		s.log.Warn("ckpt: write-behind failed", "key", key, "error", err.Error())
+		s.log.Warn("ckpt: write-behind failed", "path", path, "key", key, "error", err.Error())
 		return
 	}
 	b := encodeEnvelope(key, blob)
@@ -429,7 +454,7 @@ func (s *Store) writeDisk(key string, blob []byte) {
 	}
 	if err != nil {
 		s.writeErrors.Add(1)
-		s.log.Warn("ckpt: write-behind failed", "key", key, "error", err.Error())
+		s.log.Warn("ckpt: write-behind failed", "path", path, "key", key, "error", err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -517,22 +542,21 @@ func (s *Store) Close() {
 	})
 }
 
-// Len returns the number of memory-resident checkpoints.
+// Len returns the number of memory-resident blobs.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.order.Len()
 }
 
-// Size returns the total bytes of memory-resident checkpoints.
+// Size returns the total bytes of memory-resident blobs.
 func (s *Store) Size() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.memSize
 }
 
-// DiskLen returns the number of checkpoints on disk (0 when
-// memory-only).
+// DiskLen returns the number of entries on disk (0 when memory-only).
 func (s *Store) DiskLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -542,15 +566,12 @@ func (s *Store) DiskLen() int {
 	return s.dorder.Len()
 }
 
-// DiskSize returns the total bytes of checkpoint files on disk.
+// DiskSize returns the total bytes of entry files on disk.
 func (s *Store) DiskSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dskSize
 }
-
-// Dir returns the disk tier's root directory ("" when memory-only).
-func (s *Store) Dir() string { return s.dir }
 
 // Counters snapshots the activity counters.
 func (s *Store) Counters() Counters {

@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,6 +98,10 @@ func TestDiskPersistAndReload(t *testing.T) {
 	defer s2.Close()
 	if got := s2.DiskLen(); got != 20 {
 		t.Fatalf("reloaded DiskLen = %d, want 20", got)
+	}
+	// Open indexes each entry at its file size, as the write did.
+	if got, want := s2.DiskSize(), s.DiskSize(); got != want {
+		t.Fatalf("reloaded DiskSize = %d, want %d as written", got, want)
 	}
 	if s2.Len() != 0 {
 		t.Fatalf("reloaded memory tier holds %d entries, want 0", s2.Len())
@@ -278,4 +284,141 @@ func TestGetZeroCopy(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("memory-tier Get allocates %.1f times", allocs)
 	}
+}
+
+// TestNoMemoryTier pins the 0 memory bound: Put and Get go straight to
+// disk, nothing is held or evicted in memory.
+func TestNoMemoryTier(t *testing.T) {
+	s, err := Open(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("a", blob(1, 100))
+	s.Put("b", blob(2, 100))
+	s.Flush()
+	if got, ok := s.Get("a"); !ok || string(got) != string(blob(1, 100)) {
+		t.Fatalf("disk Get(a): ok=%v", ok)
+	}
+	if s.Len() != 0 || s.Size() != 0 {
+		t.Fatalf("memory tier holds Len=%d Size=%d, want none", s.Len(), s.Size())
+	}
+	if s.DiskLen() != 2 {
+		t.Fatalf("DiskLen = %d, want 2", s.DiskLen())
+	}
+	if c := s.Counters(); c.Evictions != 0 || c.Hits != 1 {
+		t.Fatalf("counters %+v, want 1 hit and no evictions", c)
+	}
+}
+
+// TestVanishedFileIsAMiss pins that an indexed entry whose file is gone
+// by the time Get reads it (evicted by a concurrent write's disk bound,
+// or removed by hand) is a plain miss: not corruption, not logged.
+func TestVanishedFileIsAMiss(t *testing.T) {
+	var logged bytes.Buffer
+	s, err := Open(t.TempDir(), 1, 0, slog.New(slog.NewTextHandler(&logged, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("a", blob(1, 100))
+	s.Put("b", blob(2, 100)) // evicts a from the 1-byte memory tier
+	s.Flush()
+	if err := os.Remove(s.path("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("Get served a vanished entry")
+	}
+	if c := s.Counters(); c.Corrupt != 0 || c.Misses != 1 {
+		t.Fatalf("counters %+v, want 1 miss and no corruption", c)
+	}
+	if logged.Len() != 0 {
+		t.Fatalf("vanished entry logged: %s", logged.String())
+	}
+	if s.DiskLen() != 1 || s.Contains("a") {
+		t.Fatalf("vanished entry still indexed (DiskLen %d)", s.DiskLen())
+	}
+}
+
+// TestMemoryHitRefreshesDiskRecency pins that a memory-tier hit also
+// moves the key to the front of the disk LRU, so the most-used entries
+// are not the first the disk bound evicts.
+func TestMemoryHitRefreshesDiskRecency(t *testing.T) {
+	per := int64(len(encodeEnvelope("a", blob(1, 100))))
+	s, err := Open(t.TempDir(), -1, 2*per+per/2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("a", blob(1, 100))
+	s.Flush()
+	s.Put("b", blob(2, 100))
+	s.Flush()
+	if _, ok := s.Get("a"); !ok {
+		t.Fatal("memory miss")
+	}
+	s.Put("c", blob(3, 100))
+	s.Flush()
+	if _, err := os.Stat(s.path("a")); err != nil {
+		t.Errorf("recently read entry a evicted from disk: %v", err)
+	}
+	if _, err := os.Stat(s.path("b")); !os.IsNotExist(err) {
+		t.Errorf("least recently used entry b kept on disk (stat err %v)", err)
+	}
+	if got := s.Counters().Evictions; got != 1 {
+		t.Errorf("Evictions = %d, want 1", got)
+	}
+}
+
+// TestWriteFailureCounted plants a directory where a key's entry file
+// goes, so the write's rename fails: the failure is counted, leaves no
+// temp file and no index entry, and later writes still succeed.
+func TestWriteFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := os.MkdirAll(s.path("bad"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("bad", blob(1, 64))
+	s.Flush()
+	if got := s.Counters().WriteErrors; got != 1 {
+		t.Fatalf("WriteErrors = %d, want 1", got)
+	}
+	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && strings.HasSuffix(path, ".tmp") {
+			t.Errorf("failed write left %s behind", path)
+		}
+		return nil
+	})
+	if s.Contains("bad") || s.DiskLen() != 0 {
+		t.Fatalf("failed write indexed (DiskLen %d)", s.DiskLen())
+	}
+	s.Put("good", blob(2, 64))
+	s.Flush()
+	if _, ok := s.Get("good"); !ok || s.DiskLen() != 1 {
+		t.Fatalf("write after a failed one: ok=%v DiskLen=%d", ok, s.DiskLen())
+	}
+	if got := s.Counters().WriteErrors; got != 1 {
+		t.Fatalf("WriteErrors = %d after a good write, want 1", got)
+	}
+}
+
+// FuzzDecodeEnvelope feeds arbitrary bytes to the one envelope decoder.
+// Every input either fails or decodes to a key and payload that encode
+// back to exactly the input; none panics.
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		key, payload, err := decodeEnvelope(b)
+		if err != nil {
+			return
+		}
+		if again := encodeEnvelope(key, payload); !bytes.Equal(again, b) {
+			t.Fatalf("accepted envelope does not re-encode to itself:\n in %x\nout %x", b, again)
+		}
+	})
 }

@@ -619,7 +619,9 @@ func TestFleetRestartOverWarmWorkers(t *testing.T) {
 	if v := metricValue(t, m, "msrfleet_cache_misses_total"); v != float64(len(specs)) {
 		t.Errorf("msrfleet_cache_misses_total = %v, want %d (the restarted coordinator's cache is cold)", v, len(specs))
 	}
-	for _, name := range []string{"msrfleet_ckpt_hits_total", "msrfleet_store_hits_total"} {
+	for _, name := range []string{"msrfleet_ckpt_hits_total", "msrfleet_store_hits_total",
+		"msrfleet_ckpt_write_errors_total", "msrfleet_ckpt_dropped_total",
+		"msrfleet_store_write_errors_total", "msrfleet_store_dropped_total"} {
 		if strings.Contains(m, name) {
 			t.Errorf("coordinator exports %s for a store it does not have", name)
 		}

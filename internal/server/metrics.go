@@ -88,6 +88,8 @@ func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs
 		emit("store_misses_total", "Persistent-store lookups that missed.", "counter", c.Misses)
 		emit("store_evictions_total", "Results the persistent store's size bound evicted from disk.", "counter", c.Evictions)
 		emit("store_corrupt_total", "Persistent-store entries dropped after failing verification.", "counter", c.Corrupt)
+		emit("store_write_errors_total", "Result writes to disk that failed (disk full, permissions).", "counter", c.WriteErrors)
+		emit("store_dropped_total", "Result writes dropped because the write-behind queue was full.", "counter", c.Dropped)
 		emit("store_entries", "Results currently persisted on disk.", "gauge", rs.Len())
 		emit("store_bytes", "Total bytes of persisted result files.", "gauge", rs.Size())
 	}
@@ -97,6 +99,8 @@ func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs
 		emit("ckpt_misses_total", "Checkpoint lookups that missed and fell back to functional emulation.", "counter", c.Misses)
 		emit("ckpt_evictions_total", "Checkpoints the store's size bounds evicted.", "counter", c.Evictions)
 		emit("ckpt_corrupt_total", "Persisted checkpoints dropped after failing verification.", "counter", c.Corrupt)
+		emit("ckpt_write_errors_total", "Checkpoint writes to disk that failed (disk full, permissions).", "counter", c.WriteErrors)
+		emit("ckpt_dropped_total", "Checkpoint writes to disk dropped because the write-behind queue was full.", "counter", c.Dropped)
 		emit("ckpt_bytes_read_total", "Bytes of checkpoint state served to restores.", "counter", c.BytesRead)
 		emit("ckpt_bytes_written_total", "Bytes of checkpoint state captured into the store.", "counter", c.BytesWritten)
 		emit("ckpt_entries", "Checkpoints currently held in memory.", "gauge", cs.Len())

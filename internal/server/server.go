@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Backend == nil {
 		if c.Checkpoints == nil {
-			c.Checkpoints = ckpt.NewMemory(0)
+			c.Checkpoints = ckpt.NewMemory(ckpt.DefaultMemBytes)
 		}
 		c.Backend = runners(c)
 	}

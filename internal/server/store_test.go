@@ -201,6 +201,11 @@ func TestCacheEvictsIntoStore(t *testing.T) {
 	if ev := metricValue(t, m, "msrd_cache_evictions_total"); ev < 1 {
 		t.Errorf("msrd_cache_evictions_total = %v, want >= 1", ev)
 	}
+	for _, name := range []string{"msrd_store_write_errors_total", "msrd_store_dropped_total"} {
+		if v := metricValue(t, m, name); v != 0 {
+			t.Errorf("%s = %v, want 0: every write-behind should reach disk", name, v)
+		}
+	}
 	if st.Len() != len(specs) {
 		t.Errorf("store holds %d results, want %d", st.Len(), len(specs))
 	}

@@ -127,6 +127,12 @@ func TestIntervalEndpointAndHistograms(t *testing.T) {
 	if metricValue(t, m, "msrd_sim_dram_accesses_total") <= 0 {
 		t.Error("msrd_sim_dram_accesses_total not populated")
 	}
+	// The daemon-owned checkpoint store is memory-only: nothing to fail.
+	for _, name := range []string{"msrd_ckpt_write_errors_total", "msrd_ckpt_dropped_total"} {
+		if v := metricValue(t, m, name); v != 0 {
+			t.Errorf("%s = %v, want 0", name, v)
+		}
+	}
 
 	// The structured log saw the whole lifecycle. Drain the workers
 	// first so the job-finish line is guaranteed written.

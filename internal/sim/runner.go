@@ -147,10 +147,9 @@ type Runner struct {
 	// Checkpoints is the store multi-fidelity jobs restore sample-period
 	// boundary states from (and capture them into), keyed by
 	// Spec.CheckpointKey. Nil selects a process-wide default bounded
-	// in-memory store, created lazily and shared by every Runner, so
-	// repeated sweeps warm each other even through the per-job Runners
-	// the server constructs. Point it at a ckpt.Open store to persist
-	// checkpoints across processes.
+	// in-memory store, created lazily and shared by every Runner without
+	// one, so repeated sweeps in one process warm each other. Point it at
+	// a ckpt.Open store to persist checkpoints across processes.
 	Checkpoints *ckpt.Store
 
 	// pools caches fully-built cores per pool key (engine + geometry +
@@ -168,9 +167,11 @@ type Runner struct {
 	profRuns map[string]chan struct{}
 }
 
-// defaultCkpt is the process-wide fallback checkpoint store. Sharing one
-// bounded in-memory store across Runners is what makes checkpoints
-// effective under the server, which builds a fresh Runner per job.
+// defaultCkpt is the process-wide fallback checkpoint store of Runners
+// built without Checkpoints, such as msrsim's and msrbench's: sharing it
+// lets successive sweeps in one process warm each other. The server
+// instead hands every per-job Runner the store in its
+// Config.Checkpoints.
 var (
 	defaultCkptOnce sync.Once
 	defaultCkpt     *ckpt.Store
@@ -188,7 +189,7 @@ func (r *Runner) ckptStore(s *Spec) *ckpt.Store {
 	if r.Checkpoints != nil {
 		return r.Checkpoints
 	}
-	defaultCkptOnce.Do(func() { defaultCkpt = ckpt.NewMemory(0) })
+	defaultCkptOnce.Do(func() { defaultCkpt = ckpt.NewMemory(ckpt.DefaultMemBytes) })
 	return defaultCkpt
 }
 

@@ -45,13 +45,17 @@ func open(t *testing.T, dir string, maxBytes int64) *store.Store {
 	return s
 }
 
+// put stores one result and waits for it to reach disk.
+func put(s *store.Store, key string, res api.Result) {
+	s.PutAsync(key, res)
+	s.Flush()
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	key := "bfs@s0/rgid-4x64+iv4096"
 	want := result(key, 1000)
-	if err := s.Put(key, want); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
+	put(s, key, want)
 	got, ok := s.Get(key)
 	if !ok {
 		t.Fatal("Get missed a just-stored key")
@@ -75,9 +79,7 @@ func TestSurvivesReopen(t *testing.T) {
 	s := open(t, dir, 0)
 	keys := []string{"a/none", "b/rgid-4x64", "c/ri-64s4w+check"}
 	for i, k := range keys {
-		if err := s.Put(k, result(k, uint64(100*(i+1)))); err != nil {
-			t.Fatalf("Put(%s): %v", k, err)
-		}
+		put(s, k, result(k, uint64(100*(i+1))))
 	}
 	s.Close()
 
@@ -110,7 +112,7 @@ func entryFiles(t *testing.T, dir string) []string {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
+		if !d.IsDir() && strings.HasSuffix(path, ".ckpt") {
 			files = append(files, path)
 		}
 		return nil
@@ -125,16 +127,18 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	key := "mcf/rgid-4x64"
-	if err := s.Put(key, result(key, 1000)); err != nil {
-		t.Fatal(err)
-	}
+	put(s, key, result(key, 1000))
 	files := entryFiles(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("found %d entry files, want 1", len(files))
 	}
-	// Truncate the file mid-JSON: the next read must treat the entry as
-	// a miss, count the corruption and remove the file.
-	if err := os.WriteFile(files[0], []byte(`{"version":1,"key":"mcf/rgid-4x64","sha256":"00"`), 0o644); err != nil {
+	// Truncate the file mid-payload: the next read must treat the entry
+	// as a miss, count the corruption and remove the file.
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); ok {
@@ -147,10 +151,8 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
 		t.Error("corrupt entry file not removed")
 	}
-	// A subsequent Put repopulates cleanly.
-	if err := s.Put(key, result(key, 1000)); err != nil {
-		t.Fatal(err)
-	}
+	// A subsequent write repopulates cleanly.
+	put(s, key, result(key, 1000))
 	if _, ok := s.Get(key); !ok {
 		t.Error("re-put after corruption missed")
 	}
@@ -160,16 +162,14 @@ func TestTamperedContentRejectedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	key := "omnetpp/dir-value-64s4w"
-	if err := s.Put(key, result(key, 500)); err != nil {
-		t.Fatal(err)
-	}
+	put(s, key, result(key, 500))
 	files := entryFiles(t, dir)
 	b, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the stored cycle count without updating the checksum: valid
-	// JSON, wrong bytes.
+	// Flip the stored cycle count without updating the checksum: a
+	// well-formed envelope around valid JSON, with the wrong bytes.
 	tampered := strings.Replace(string(b), `"cycles":500`, `"cycles":501`, 1)
 	if tampered == string(b) {
 		t.Fatal("tampering failed to change the file")
@@ -197,9 +197,7 @@ func TestSizeBoundEvictsLRU(t *testing.T) {
 	// Measure one entry's file size so the bound can be set to hold
 	// exactly three.
 	probe := "probe/none"
-	if err := s.Put(probe, result(probe, 1)); err != nil {
-		t.Fatal(err)
-	}
+	put(s, probe, result(probe, 1))
 	per := s.Size()
 	s.Close()
 	os.RemoveAll(dir)
@@ -209,9 +207,7 @@ func TestSizeBoundEvictsLRU(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("wl%d/none", i)
 		keys = append(keys, k)
-		if err := s.Put(k, result(k, 1)); err != nil {
-			t.Fatal(err)
-		}
+		put(s, k, result(k, 1))
 	}
 	if got := s.Len(); got != 3 {
 		t.Fatalf("store holds %d entries, want 3 under the size bound", got)
@@ -219,15 +215,10 @@ func TestSizeBoundEvictsLRU(t *testing.T) {
 	if c := s.Counters(); c.Evictions != 2 {
 		t.Errorf("evictions = %d, want 2", c.Evictions)
 	}
-	// The two oldest are gone, the three newest remain.
+	// The two oldest are gone, so the three newest are what remains.
 	for _, k := range keys[:2] {
-		if s.Contains(k) {
+		if _, ok := s.Get(k); ok {
 			t.Errorf("oldest entry %q survived eviction", k)
-		}
-	}
-	for _, k := range keys[2:] {
-		if !s.Contains(k) {
-			t.Errorf("recent entry %q evicted", k)
 		}
 	}
 	// Touching the LRU tail protects it from the next eviction.
@@ -235,14 +226,14 @@ func TestSizeBoundEvictsLRU(t *testing.T) {
 		t.Fatal("expected hit")
 	}
 	k := "extra/none"
-	if err := s.Put(k, result(k, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains(keys[2]) {
-		t.Error("recently-used entry evicted ahead of older ones")
-	}
-	if s.Contains(keys[3]) {
+	put(s, k, result(k, 1))
+	if _, ok := s.Get(keys[3]); ok {
 		t.Error("LRU entry survived eviction after a newer entry was touched")
+	}
+	for _, k := range []string{keys[2], keys[4], k} {
+		if _, ok := s.Get(k); !ok {
+			t.Errorf("entry %q evicted ahead of the LRU one", k)
+		}
 	}
 }
 
@@ -275,9 +266,7 @@ func TestReopenPreservesRecencyOrder(t *testing.T) {
 	s := open(t, dir, 0)
 	for i := 0; i < 3; i++ {
 		k := fmt.Sprintf("r%d/none", i)
-		if err := s.Put(k, result(k, 1)); err != nil {
-			t.Fatal(err)
-		}
+		put(s, k, result(k, 1))
 		// File mtimes seed the reopened LRU order; keep them distinct
 		// even on coarse-mtime filesystems.
 		time.Sleep(5 * time.Millisecond)
@@ -291,11 +280,11 @@ func TestReopenPreservesRecencyOrder(t *testing.T) {
 	if s2.Len() != 2 {
 		t.Fatalf("reopened bounded store holds %d entries, want 2", s2.Len())
 	}
-	if s2.Contains("r0/none") {
+	if _, ok := s2.Get("r0/none"); ok {
 		t.Error("oldest entry survived the reopen bound")
 	}
 	for _, k := range []string{"r1/none", "r2/none"} {
-		if !s2.Contains(k) {
+		if _, ok := s2.Get(k); !ok {
 			t.Errorf("recent entry %q lost at reopen", k)
 		}
 	}
