@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mssr/internal/core"
+	"mssr/internal/isa"
 )
 
 // TestCanonicalKeyGolden pins the exact canonical-key strings for a
@@ -128,6 +129,34 @@ func TestCheckpointKeyGolden(t *testing.T) {
 		}
 		if got := tc.spec.ShardKey(); got != tc.wantShard {
 			t.Errorf("%s: ShardKey() = %q, want %q", tc.name, got, tc.wantShard)
+		}
+	}
+}
+
+// TestProfileKeyGolden pins the store key of a phase profile. Profiles
+// persist in disk checkpoint stores next to the checkpoints, and the
+// benchmark harness formats this key by hand to find them, so its
+// rendering is as frozen as the checkpoint key's.
+func TestProfileKeyGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"geometry only, config stripped",
+			Spec{Workload: "mcf", Engine: EngineRI, FastForward: 3000, DetailedWindow: 1500, SamplePeriods: 8,
+				PhaseSelect: PhaseKMeans, MaxErr: 0.02},
+			"mcf@s0#profile1+ff3000+dw1500+sp8"},
+		{"paper scale elides the suffix",
+			Spec{Workload: "bzip2", Scale: 1, FastForward: 50000, DetailedWindow: 5000, SamplePeriods: 48},
+			"bzip2#profile1+ff50000+dw5000+sp48"},
+		{"a pre-built program keys on its name",
+			Spec{Program: &isa.Program{Name: "astar"}, FastForward: 4505, DetailedWindow: 287, SamplePeriods: 48},
+			"astar#profile1+ff4505+dw287+sp48"},
+	}
+	for _, tc := range cases {
+		if got := profileKey(&tc.spec); got != tc.want {
+			t.Errorf("%s: profileKey() = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
