@@ -12,6 +12,7 @@ import (
 	"mssr/internal/ckpt"
 	"mssr/internal/core"
 	"mssr/internal/emu"
+	"mssr/internal/isa"
 	"mssr/internal/obs"
 	"mssr/internal/stats"
 )
@@ -371,22 +372,7 @@ func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results
 			results[i].Err = err
 			continue
 		}
-		var pl *sync.Pool
-		if !r.FreshCores {
-			if key := s.poolKey(); key != "" {
-				pl = r.pool(key)
-			}
-		}
-		var c *core.Core
-		if pl != nil {
-			if v := pl.Get(); v != nil {
-				c = v.(*core.Core)
-				c.Reset(prog)
-			}
-		}
-		if c == nil {
-			c = core.New(prog, cfg)
-		}
+		c, pl := r.drawCore(s, prog, cfg)
 		results[i].EngineName = c.EngineName()
 		if r.OnInterval != nil {
 			hi, hk := i, results[i].Key
@@ -409,9 +395,7 @@ func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results
 	errs := b.Run(ctx)
 	walls := b.Walls()
 
-	var want emu.Result
-	var wantErr error
-	verified := false
+	ref := reference(prog)
 	for k, i := range members {
 		c := cores[k]
 		res := &results[i]
@@ -433,20 +417,50 @@ func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results
 			continue
 		}
 		if specs[i].VerifyArch {
-			if !verified {
-				want, wantErr = emu.RunProgram(prog, 1<<40)
-				verified = true
-			}
-			if wantErr != nil {
-				res.Err = fmt.Errorf("emulator: %w", wantErr)
-				continue
-			}
-			if got != want {
-				res.Err = fmt.Errorf("architectural mismatch:\ncore: %+v\nemu:  %+v", got, want)
-				continue
-			}
-			res.Arch = got
+			verifyArch(res, got, ref)
 		}
+	}
+}
+
+// drawCore returns a core for s: a pooled one reset for prog when the
+// spec is poolable, else a new one, with the pool it goes back to (nil
+// when it must not). A core that panicked mid-run is never returned to
+// the pool (the callers' recovers exit before any Put).
+func (r *Runner) drawCore(s *Spec, prog *isa.Program, cfg core.Config) (*core.Core, *sync.Pool) {
+	var pl *sync.Pool
+	if !r.FreshCores {
+		if key := s.poolKey(); key != "" {
+			pl = r.pool(key)
+		}
+	}
+	if pl != nil {
+		if v := pl.Get(); v != nil {
+			c := v.(*core.Core)
+			c.Reset(prog)
+			return c, pl
+		}
+	}
+	return core.New(prog, cfg), pl
+}
+
+// reference returns the reference emulation of prog's whole run,
+// computed at most once however many results verify against it.
+func reference(prog *isa.Program) func() (emu.Result, error) {
+	return sync.OnceValues(func() (emu.Result, error) { return emu.RunProgram(prog, 1<<40) })
+}
+
+// verifyArch compares a core's final architectural state with the
+// reference emulation's: a match becomes res.Arch, anything else
+// res.Err.
+func verifyArch(res *Result, got emu.Result, ref func() (emu.Result, error)) {
+	want, err := ref()
+	switch {
+	case err != nil:
+		res.Err = fmt.Errorf("emulator: %w", err)
+	case got != want:
+		res.Err = fmt.Errorf("architectural mismatch:\ncore: %+v\nemu:  %+v", got, want)
+	default:
+		res.Arch = got
 	}
 }
 
@@ -492,25 +506,7 @@ func (r *Runner) runOne(ctx context.Context, i int, s Spec) (res Result) {
 		defer cancel()
 	}
 
-	// Draw a pooled core when the spec is poolable, else build fresh. A
-	// core that panicked mid-run is never returned to the pool (the
-	// recover above exits before any Put).
-	var pl *sync.Pool
-	if !r.FreshCores {
-		if key := s.poolKey(); key != "" {
-			pl = r.pool(key)
-		}
-	}
-	var c *core.Core
-	if pl != nil {
-		if v := pl.Get(); v != nil {
-			c = v.(*core.Core)
-			c.Reset(prog)
-		}
-	}
-	if c == nil {
-		c = core.New(prog, cfg)
-	}
+	c, pl := r.drawCore(&s, prog, cfg)
 	// The result must not alias pooled-core state, which the next job
 	// resets: clone the stats, and read the architectural state before
 	// the core returns to the pool.
@@ -544,16 +540,7 @@ func (r *Runner) runOne(ctx context.Context, i int, s Spec) (res Result) {
 		return res
 	}
 	if s.VerifyArch {
-		want, err := emu.RunProgram(prog, 1<<40)
-		if err != nil {
-			res.Err = fmt.Errorf("emulator: %w", err)
-			return res
-		}
-		if got != want {
-			res.Err = fmt.Errorf("architectural mismatch:\ncore: %+v\nemu:  %+v", got, want)
-			return res
-		}
-		res.Arch = got
+		verifyArch(&res, got, reference(prog))
 	}
 	return res
 }
