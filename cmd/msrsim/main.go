@@ -60,7 +60,7 @@ func run() int {
 		ff       = flag.Uint64("ff", 0, "fast-forward this many instructions functionally before each detailed window (0 = full detail)")
 		window   = flag.Uint64("window", 0, "detailed-window length in instructions (0 with -ff = run detailed to completion after one skip)")
 		periods  = flag.Int("periods", 1, "number of {fast-forward, detailed window} sample periods")
-		warm     = flag.Bool("warm", false, "warm the caches and branch predictor during fast-forward")
+		warm     = flag.Bool("warm", false, "warm the caches and branch predictor during fast-forward (uniform sampling only; -phase kmeans never warms)")
 		phase    = flag.String("phase", "uniform", "sample-window placement: uniform, kmeans (one representative window per program phase)")
 		maxErr   = flag.Float64("max-err", 0, "stop sampling once the IPC estimate's relative standard error reaches this bound (0 = run every period)")
 		noCkpt   = flag.Bool("no-ckpt", false, "disable the checkpoint store: re-emulate every functional prefix")

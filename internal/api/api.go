@@ -52,8 +52,9 @@ type Spec struct {
 	// Multi-fidelity execution (sim.Spec.FastForward and friends): skip
 	// FastForward instructions functionally before each detailed window of
 	// DetailedWindow instructions, SamplePeriods times, optionally warming
-	// caches and branch predictor during the skip. All four are part of
-	// the canonical cache key.
+	// caches and branch predictor during the skip (Warm applies to uniform
+	// sampling; a spec setting it with phase_select "kmeans" is invalid).
+	// All four are part of the canonical cache key.
 	FastForward    uint64 `json:"fast_forward,omitempty"`
 	DetailedWindow uint64 `json:"detailed_window,omitempty"`
 	SamplePeriods  int    `json:"sample_periods,omitempty"`

@@ -227,8 +227,11 @@ type Spec struct {
 	// with windows the run's Result is Extrapolated from the sampled
 	// windows and carries an IPC-error estimate. Warm replays fast-forward
 	// instructions into the cache hierarchy and branch predictor so each
-	// window starts warm. All four are part of CanonicalKey: cached,
-	// stored and fleet-sharded results stay content-sound.
+	// window starts warm; it applies to uniform sampling only, since
+	// phase-selected runs jump to checkpoints and never warm a skip
+	// (Validate rejects Warm with PhaseKMeans). All four are part of
+	// CanonicalKey: cached, stored and fleet-sharded results stay
+	// content-sound.
 	FastForward    uint64
 	DetailedWindow uint64
 	SamplePeriods  int
@@ -321,6 +324,12 @@ func (s *Spec) Validate() error {
 	case PhaseKMeans:
 		if s.SamplePeriods <= 1 {
 			errs = append(errs, errors.New("PhaseKMeans needs SamplePeriods > 1"))
+		}
+		if s.Warm {
+			// Phased windows start from checkpoint jumps, not skips, so a
+			// "warmed" result would duplicate the unwarmed one under
+			// another key.
+			errs = append(errs, errors.New("Warm set with PhaseKMeans, whose windows never warm a skip"))
 		}
 	default:
 		errs = append(errs, fmt.Errorf("unknown phase mode %d", int(s.PhaseSelect)))

@@ -52,6 +52,8 @@ func TestSpecValidate(t *testing.T) {
 		{"periods without window", Spec{Workload: "bfs", FastForward: 1000, SamplePeriods: 4}},
 		{"negative sample periods", Spec{Workload: "bfs", FastForward: 1000, DetailedWindow: 100, SamplePeriods: -1}},
 		{"warm without fast-forward", Spec{Workload: "bfs", Warm: true}},
+		{"warm with phase selection", Spec{Workload: "bfs", FastForward: 1000, DetailedWindow: 100, SamplePeriods: 8,
+			Warm: true, PhaseSelect: PhaseKMeans}},
 	}
 	for _, c := range bad {
 		if err := c.spec.Validate(); err == nil {
