@@ -120,10 +120,12 @@ func Checkpointed(scale int) (*CheckpointedResult, error) {
 		return nil, err
 	}
 
-	// The checkpointed sweep: same sampling geometry, cold skips (the
-	// profiling pass measures an unwarmed core too, keeping the profile
-	// canonical), k-means window placement. The cold pass profiles each
-	// program and fills the store; the measured pass restores everything.
+	// The checkpointed sweep: same sampling geometry, k-means window
+	// placement. Warm must be off: phased windows jump to checkpoints
+	// and never warm a skip, and Validate rejects the combination (the
+	// profiling pass warms its own skips regardless). The cold pass
+	// profiles each program and fills the store; the measured pass
+	// restores everything.
 	ckSpecs := make([]sim.Spec, len(works))
 	for i := range works {
 		ckSpecs[i] = fidelitySpec(works[i].base, full[i].Stats.Retired)
