@@ -13,23 +13,12 @@
 //	msrbench -remote :8370        # the same flag pointed at an msrfleet
 //	                              # coordinator shards the sweeps across
 //	                              # the whole worker ring transparently
-//	msrbench -exp perf            # simulator-throughput benchmark; writes
-//	                              # BENCH_PR6.json (see -perf-out); use
-//	                              # -perf-min-mcf to fail on regression
 //	msrbench -batch=false         # disable lockstep batch grouping of
 //	                              # same-workload specs within a sweep
 //	msrbench -exp phases -stats-interval 4096 -stats-out phases.ndjson
 //	                              # phase-behaviour table plus the raw
 //	                              # per-interval telemetry stream (CSV when
 //	                              # the file name ends in .csv)
-//	msrbench -exp fidelity        # multi-fidelity accuracy/throughput
-//	                              # benchmark; writes BENCH_PR8.json (see
-//	                              # -fidelity-out); -fidelity-max-err and
-//	                              # -fidelity-min-speedup gate the result
-//	msrbench -exp checkpointed    # checkpoint-warm phase-selected sampling
-//	                              # benchmark; writes BENCH_PR10.json (see
-//	                              # -ckpt-out); -ckpt-max-err and
-//	                              # -ckpt-min-speedup gate the result
 package main
 
 import (
@@ -55,7 +44,7 @@ func main() { os.Exit(run()) }
 // os.Exit inline) lets the deferred profile writers run on every path.
 func run() int {
 	var (
-		exps     = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,fig3,fig4,fig10,fig11,fig12,baselines,phases,perf,fidelity,checkpointed or all")
+		exps     = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,fig3,fig4,fig10,fig11,fig12,baselines,phases or all")
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		asCSV    = flag.Bool("csv", false, "emit table1/fig10 in the artifact rollup CSV format (CFG,BM,CYCLES,diff)")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "max concurrently running simulations")
@@ -67,14 +56,6 @@ func run() int {
 		batch    = flag.Bool("batch", true, "group a sweep's same-workload specs into lockstep batch runs over a shared instruction stream (in-process runs; for -remote see msrd -batch)")
 		statsIv  = flag.Uint64("stats-interval", 0, "attach interval telemetry to every sweep, sampled every N cycles (0 = off; implied 4096 by -stats-out)")
 		statsOut = flag.String("stats-out", "", `write the per-interval telemetry of every run to this file: NDJSON, or CSV when the name ends in .csv ("-" = stdout)`)
-		perfOut  = flag.String("perf-out", "BENCH_PR6.json", "write the perf experiment's JSON document here")
-		perfMin  = flag.Float64("perf-min-mcf", 0, "fail the perf experiment if mcf's pooled MIPS falls below this floor (0 = no check)")
-		fidOut   = flag.String("fidelity-out", "BENCH_PR8.json", "write the fidelity experiment's JSON document here")
-		fidErr   = flag.Float64("fidelity-max-err", 0, "fail the fidelity experiment if any workload's sampled IPC misses full detail by more than this many percent (0 = no check)")
-		fidSpd   = flag.Float64("fidelity-min-speedup", 0, "fail the fidelity experiment if the same-host effective-throughput multiple over full detail falls below this floor (0 = no check)")
-		ckptOut  = flag.String("ckpt-out", "BENCH_PR10.json", "write the checkpointed experiment's JSON document here")
-		ckptErr  = flag.Float64("ckpt-max-err", 0, "fail the checkpointed experiment if any workload's phase-selected IPC misses full detail by more than this many percent (0 = no check)")
-		ckptSpd  = flag.Float64("ckpt-min-speedup", 0, "fail the checkpointed experiment if the checkpoint-warm throughput multiple over the uniform warm baseline falls below this floor (0 = no check)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -142,12 +123,6 @@ func run() int {
 	for _, e := range strings.Split(*exps, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
-	all := want["all"]
-	// perf, fidelity and checkpointed are host-throughput benchmarks, not
-	// paper artifacts, so "all" does not imply them.
-	sel := func(name string) bool {
-		return (all && name != "perf" && name != "fidelity" && name != "checkpointed") || want[name]
-	}
 
 	type experiment struct {
 		name string
@@ -183,80 +158,11 @@ func run() int {
 		{"fig12", func() (string, error) { r, err := experiments.Figure12(*scale); return render(r, err) }},
 		{"baselines", func() (string, error) { r, err := experiments.Baselines(*scale); return render(r, err) }},
 		{"phases", func() (string, error) { r, err := experiments.Phases(*scale); return render(r, err) }},
-		{"perf", func() (string, error) {
-			r, err := experiments.Perf(*scale)
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(*perfOut, []byte(r.JSON()), 0o644); err != nil {
-				return "", err
-			}
-			out := r.Render() + "wrote " + *perfOut + "\n"
-			if *perfMin > 0 {
-				if err := r.CheckFloor("mcf", *perfMin); err != nil {
-					return out, err
-				}
-				out += fmt.Sprintf("mcf throughput floor %.3f MIPS: ok\n", *perfMin)
-			}
-			return out, nil
-		}},
-		{"fidelity", func() (string, error) {
-			r, err := experiments.Fidelity(*scale)
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(*fidOut, []byte(r.JSON()), 0o644); err != nil {
-				return "", err
-			}
-			out := r.Render() + "wrote " + *fidOut + "\n"
-			if *fidErr > 0 {
-				if err := r.CheckError(*fidErr); err != nil {
-					return out, err
-				}
-				out += fmt.Sprintf("IPC error bound %.2f%%: ok\n", *fidErr)
-			}
-			if *fidSpd > 0 {
-				if err := r.CheckSpeedup(*fidSpd); err != nil {
-					return out, err
-				}
-				out += fmt.Sprintf("effective-throughput floor %.2fx full detail: ok\n", *fidSpd)
-			}
-			return out, nil
-		}},
-		{"checkpointed", func() (string, error) {
-			r, err := experiments.Checkpointed(*scale)
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(*ckptOut, []byte(r.JSON()), 0o644); err != nil {
-				return "", err
-			}
-			out := r.Render() + "wrote " + *ckptOut + "\n"
-			// The warm-path contract (every boundary restored, zero
-			// functional re-execution) is structural, so it always gates.
-			if err := r.CheckWarmPath(); err != nil {
-				return out, err
-			}
-			out += "warm path: every checkpoint restored, 0 functional instructions re-executed\n"
-			if *ckptErr > 0 {
-				if err := r.CheckError(*ckptErr); err != nil {
-					return out, err
-				}
-				out += fmt.Sprintf("IPC error bound %.2f%%: ok\n", *ckptErr)
-			}
-			if *ckptSpd > 0 {
-				if err := r.CheckSpeedup(*ckptSpd); err != nil {
-					return out, err
-				}
-				out += fmt.Sprintf("checkpoint-warm floor %.2fx uniform baseline: ok\n", *ckptSpd)
-			}
-			return out, nil
-		}},
 	}
 
 	ran := 0
 	for _, e := range list {
-		if !sel(e.name) {
+		if !want["all"] && !want[e.name] {
 			continue
 		}
 		ran++

@@ -11,7 +11,6 @@
 //	msrd -ckpt /var/lib/msrd-ckpt                  # persistent checkpoint store: multi-fidelity
 //	                                               # sweeps skip their functional fast-forward
 //	msrd -addr 127.0.0.1:9001 -register http://coord:8370   # join an msrfleet ring
-//	msrd -selfbench                 # in-process cold-vs-cache benchmark, JSON on stdout
 //
 // Submit work with `msrbench -remote host:port` or POST /v1/jobs
 // directly; scrape /metrics; stop with SIGINT/SIGTERM — the daemon
@@ -20,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -31,7 +29,6 @@ import (
 	"runtime"
 	"time"
 
-	"mssr/internal/api"
 	"mssr/internal/ckpt"
 	"mssr/internal/cli"
 	"mssr/internal/client"
@@ -57,7 +54,6 @@ func main() {
 		ckptMaxMB  = flag.Int64("ckpt-max-mb", 1024, "checkpoint store disk size bound in MiB before LRU eviction")
 		register   = flag.String("register", "", "msrfleet coordinator URL to register with (empty disables)")
 		advertise  = flag.String("advertise", "", "address workers advertise to the coordinator (default derives from -addr; required when -addr has no host)")
-		selfbench  = flag.Bool("selfbench", false, "serve in-process, benchmark cold vs cached sweeps plus a saturating burst, print JSON and exit")
 		dashboard  = flag.Bool("dashboard", false, "serve the live telemetry dashboard at /dashboard")
 		withPprof  = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error, off")
@@ -81,14 +77,6 @@ func main() {
 		Batch:          *batch,
 		RetryAfter:     *retryAfter,
 		Logger:         logger,
-	}
-
-	if *selfbench {
-		if err := runSelfbench(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "msrd:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var st *store.Store
@@ -196,128 +184,4 @@ func registerLoop(coordinator, advertise string) {
 		}
 		time.Sleep(reannounceEvery)
 	}
-}
-
-// selfbenchReport is the JSON the -selfbench mode emits; CI archives it
-// as BENCH_PR2.json to track the daemon's performance trajectory.
-type selfbenchReport struct {
-	Specs          int     `json:"specs"`
-	ColdMS         float64 `json:"cold_ms"`
-	WarmMS         float64 `json:"warm_ms"`
-	Speedup        float64 `json:"speedup"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	ColdJobsPerSec float64 `json:"cold_jobs_per_sec"`
-	WarmJobsPerSec float64 `json:"warm_jobs_per_sec"`
-	BurstSubmitted int     `json:"burst_submitted"`
-	BurstShed      int     `json:"burst_shed"`
-}
-
-// runSelfbench starts the daemon on a loopback port, runs one sweep
-// cold, repeats it against the warm cache, then fires a saturating
-// burst to demonstrate 429 load shedding.
-func runSelfbench(cfg server.Config) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	// A small queue makes the burst's load shedding visible.
-	cfg.QueueLimit = 4
-	cfg.RetryAfter = 50 * time.Millisecond
-	srv := server.New(cfg)
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-
-	c := client.New(ln.Addr().String())
-	c.PollInterval = 2 * time.Millisecond
-	ctx := context.Background()
-
-	var specs []api.Spec
-	for _, wl := range []string{"nested-mispred", "linear-mispred", "bfs", "cc", "astar"} {
-		specs = append(specs,
-			api.Spec{Workload: wl, Scale: 0},
-			api.Spec{Workload: wl, Scale: 0, Engine: "rgid", Streams: 4, Entries: 64},
-			api.Spec{Workload: wl, Scale: 0, Engine: "ri", Sets: 64, Ways: 4},
-		)
-	}
-
-	sweep := func() (time.Duration, *api.JobStatus, error) {
-		start := time.Now()
-		sub, err := c.Submit(ctx, specs)
-		if err != nil {
-			return 0, nil, err
-		}
-		st, err := c.Wait(ctx, sub.JobID)
-		if err != nil {
-			return 0, nil, err
-		}
-		return time.Since(start), st, nil
-	}
-
-	cold, _, err := sweep()
-	if err != nil {
-		return fmt.Errorf("cold sweep: %w", err)
-	}
-	warm, warmStatus, err := sweep()
-	if err != nil {
-		return fmt.Errorf("warm sweep: %w", err)
-	}
-
-	// Saturating burst: far more simultaneous submissions than
-	// worker+queue slots, each an uncached spec so nothing resolves
-	// instantly, without client-side retries — the overflow is shed
-	// with 429 instead of queueing unboundedly.
-	burst := cfg.QueueLimit * 4
-	noRetry := client.New(ln.Addr().String())
-	noRetry.SubmitRetries = -1
-	noRetry.PollInterval = 2 * time.Millisecond
-	type submitResult struct {
-		id  string
-		err error
-	}
-	outcomes := make(chan submitResult, burst)
-	for i := 0; i < burst; i++ {
-		i := i
-		go func() {
-			sub, err := noRetry.Submit(ctx, []api.Spec{{
-				Workload: "pr", Scale: 0, Engine: "rgid",
-				Streams: 1 + i%8, Entries: 16 * (1 + i%16),
-			}})
-			if err != nil {
-				outcomes <- submitResult{err: err}
-				return
-			}
-			outcomes <- submitResult{id: sub.JobID}
-		}()
-	}
-	shed := 0
-	for i := 0; i < burst; i++ {
-		o := <-outcomes
-		if o.err != nil {
-			shed++
-			continue
-		}
-		if _, err := noRetry.Wait(ctx, o.id); err != nil {
-			return fmt.Errorf("draining burst job %s: %w", o.id, err)
-		}
-	}
-
-	rep := selfbenchReport{
-		Specs:          len(specs),
-		ColdMS:         float64(cold.Microseconds()) / 1e3,
-		WarmMS:         float64(warm.Microseconds()) / 1e3,
-		CacheHitRate:   float64(warmStatus.CacheHits) / float64(len(specs)),
-		BurstSubmitted: burst,
-		BurstShed:      shed,
-	}
-	if warm > 0 {
-		rep.Speedup = float64(cold) / float64(warm)
-		rep.WarmJobsPerSec = float64(time.Second) / float64(warm)
-	}
-	if cold > 0 {
-		rep.ColdJobsPerSec = float64(time.Second) / float64(cold)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
