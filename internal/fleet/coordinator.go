@@ -21,10 +21,15 @@
 //   - failure handling: when a worker fails its health checks or breaks
 //     mid-stream, its queued and unresolved specs are re-hashed across
 //     the remaining ring and retried with backoff, bounded by a per-spec
-//     attempt budget;
-//   - work stealing: a worker whose shard queue runs dry takes queued
-//     specs from the deepest backlog, so a hot shard (one workload
-//     hashing many variants onto one worker) cannot idle the fleet;
+//     attempt budget. Demotion also cancels the worker's dispatch in
+//     flight, so a worker that stalls its result stream cannot hold its
+//     specs;
+//   - work stealing: a worker whose shard queue runs dry takes the tail
+//     half of the deepest backlog, so a hot shard (one workload hashing
+//     many variants onto one worker) cannot idle the fleet. A single
+//     queued spec counts as a backlog when its worker is busy with a
+//     dispatch, so a miss never waits out another simulation while a
+//     worker idles;
 //   - the worker event relay: telemetry frames from every worker's
 //     /v1/ws are re-labelled with the owning coordinator job and
 //     worker="addr" and published on the server's bus;

@@ -41,6 +41,10 @@ type worker struct {
 	failures int
 	queue    []*unit
 	inflight int
+	// cancel ends the dispatch in flight (nil between dispatches).
+	// markDown calls it, so a worker that stalls its result stream
+	// cannot keep its specs once it is demoted.
+	cancel context.CancelFunc
 
 	dispatched atomic.Uint64
 	completed  atomic.Uint64
@@ -272,37 +276,44 @@ func (d *dispatcher) workersResponse() api.WorkersResponse {
 func (d *dispatcher) workerLoop(w *worker) {
 	defer d.wg.Done()
 	for {
-		units := d.take(w)
+		units, ctx := d.take(w)
 		if units == nil {
 			return
 		}
-		d.dispatch(w, units)
+		d.dispatch(ctx, w, units)
 		d.mu.Lock()
 		w.inflight -= len(units)
+		w.cancel()
+		w.cancel = nil
 		d.mu.Unlock()
 		d.cond.Broadcast()
 	}
 }
 
 // take blocks until the worker has work (own queue, orphans, or a steal)
-// or the ring stops (nil).
-func (d *dispatcher) take(w *worker) []*unit {
+// or the ring stops (nil). The units come with the context of their
+// dispatch, which markDown cancels.
+func (d *dispatcher) take(w *worker) ([]*unit, context.Context) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if d.closed {
-			return nil
+			return nil, nil
 		}
+		var units []*unit
 		if w.healthy {
-			if units := d.takeFromLocked(&d.orphans, w); units != nil {
-				return units
+			units = d.takeFromLocked(&d.orphans, w)
+			if units == nil {
+				units = d.takeFromLocked(&w.queue, w)
 			}
-			if units := d.takeFromLocked(&w.queue, w); units != nil {
-				return units
+			if units == nil {
+				units = d.stealLocked(w)
 			}
-			if units := d.stealLocked(w); units != nil {
-				return units
-			}
+		}
+		if units != nil {
+			ctx, cancel := context.WithCancel(d.baseCtx)
+			w.cancel = cancel
+			return units, ctx
 		}
 		d.cond.Wait()
 	}
@@ -320,12 +331,14 @@ func (d *dispatcher) takeFromLocked(q *[]*unit, w *worker) []*unit {
 	return units
 }
 
-// stealLocked moves up to half of the deepest healthy queue (tail end —
-// the work its owner would reach last) onto w.
+// stealLocked moves the tail end of the deepest healthy backlog (the work
+// its owner would reach last) onto w: half of it, or its one unit when
+// the owner is busy with a dispatch, at most a chunk. A lone unit queued
+// behind an idle owner is left to that owner, which is about to take it.
 func (d *dispatcher) stealLocked(w *worker) []*unit {
 	var victim *worker
 	for _, v := range d.workers {
-		if v == w || !v.healthy || len(v.queue) < 2 {
+		if v == w || !v.healthy || len(v.queue) == 0 || (len(v.queue) == 1 && v.inflight == 0) {
 			continue
 		}
 		if victim == nil || len(v.queue) > len(victim.queue) {
@@ -335,7 +348,7 @@ func (d *dispatcher) stealLocked(w *worker) []*unit {
 	if victim == nil {
 		return nil
 	}
-	n := min(len(victim.queue)/2, d.cfg.ChunkSize)
+	n := min(max(1, len(victim.queue)/2), d.cfg.ChunkSize)
 	cut := len(victim.queue) - n
 	units := append([]*unit(nil), victim.queue[cut:]...)
 	victim.queue = victim.queue[:cut]
@@ -347,10 +360,11 @@ func (d *dispatcher) stealLocked(w *worker) []*unit {
 	return units
 }
 
-// dispatch submits one chunk to w as a single sub-job and resolves every
-// unit from the worker's completion stream. Units the worker failed to
-// resolve are retried on the re-hashed ring.
-func (d *dispatcher) dispatch(w *worker, units []*unit) {
+// dispatch submits one chunk to w as a single sub-job under ctx and
+// resolves every unit from the worker's completion stream. Units the
+// worker failed to resolve, or had not resolved when ctx was cancelled,
+// are retried on the re-hashed ring.
+func (d *dispatcher) dispatch(ctx context.Context, w *worker, units []*unit) {
 	specs := make([]api.Spec, len(units))
 	for i, u := range units {
 		specs[i] = u.spec
@@ -359,7 +373,6 @@ func (d *dispatcher) dispatch(w *worker, units []*unit) {
 
 	resolved := make([]bool, len(units))
 	var retry []*unit
-	ctx := d.baseCtx
 	settle := func(i int, r api.Result) {
 		if resolved[i] {
 			return
@@ -547,7 +560,8 @@ func (d *dispatcher) noteProbe(w *worker, err error) {
 	}
 }
 
-// markDown demotes a worker and re-homes its queued units.
+// markDown demotes a worker, re-homes its queued units and cancels its
+// dispatch in flight, which then retries the units it has not resolved.
 func (d *dispatcher) markDown(w *worker, reason string) {
 	d.mu.Lock()
 	if !w.healthy {
@@ -556,6 +570,9 @@ func (d *dispatcher) markDown(w *worker, reason string) {
 	}
 	w.healthy = false
 	w.failures = d.cfg.HealthFailures
+	if w.cancel != nil {
+		w.cancel()
+	}
 	moved := w.queue
 	w.queue = nil
 	for _, u := range moved {

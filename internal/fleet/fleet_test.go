@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"mssr/internal/server"
 	"mssr/internal/sim"
 	"mssr/internal/stats"
+	"mssr/internal/workloads"
 )
 
 // sweep12 is the acceptance sweep: 12 distinct configs (3 workloads x 4
@@ -381,6 +383,148 @@ func TestFleetWorkSteal(t *testing.T) {
 	}
 	if steals := metricValue(t, m, "msrfleet_steals_total"); steals < 1 {
 		t.Errorf("msrfleet_steals_total = %v, want >= 1: the fast worker should have stolen from the slow shard", steals)
+	}
+}
+
+// specsOn returns n distinct specs whose shard keys rendezvous-hash onto
+// addr in the ring addrs. The candidates vary the workload first: keys
+// that differ only in their last bytes tend to hash onto one worker.
+func specsOn(t *testing.T, addrs []string, addr string, n int) []api.Spec {
+	t.Helper()
+	var out []api.Spec
+	for e := 1; len(out) < n && e <= 64; e++ {
+		for _, wl := range workloads.All() {
+			ws := api.Spec{Workload: wl.Name, Scale: 0, Engine: "rgid", Streams: 1, Entries: e}
+			sp, err := ws.Sim()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) < n && fleet.Pick(addrs, sp.ShardKey()) == addr {
+				out = append(out, ws)
+			}
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("found %d of %d specs that shard onto %s", len(out), n, addr)
+	}
+	return out
+}
+
+// TestFleetLoneMissStolen pins that a miss is not left waiting behind a
+// busy worker while another idles: a single spec queued on a worker
+// whose dispatch is held is taken by the idle worker.
+func TestFleetLoneMissStolen(t *testing.T) {
+	gate := newGatedBackend()
+	addrA, _ := newWorker(t, server.Config{Backend: fixed{gate}})
+	addrB, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
+	_, fc := newFleet(t, fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 1})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate.release) }) }
+	t.Cleanup(open) // before the fleet's cleanup drains the held job
+
+	specs := specsOn(t, []string{addrA, addrB}, addrA, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	held, err := fc.Submit(ctx, specs[:1])
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	select {
+	case <-gate.started:
+	case <-ctx.Done():
+		t.Fatal("worker A never started the held spec")
+	}
+
+	missCtx, missCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer missCancel()
+	sub, err := fc.Submit(missCtx, specs[1:])
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st, err := fc.Wait(missCtx, sub.JobID)
+	if err != nil {
+		t.Fatalf("the miss queued behind the held spec did not finish: %v", err)
+	}
+	if r := st.Results[0]; r.Error != "" {
+		t.Errorf("stolen miss errored: %s", r.Error)
+	}
+	m, err := fc.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if steals := metricValue(t, m, "msrfleet_steals_total"); steals < 1 {
+		t.Errorf("msrfleet_steals_total = %v, want >= 1: worker B should have taken the miss", steals)
+	}
+
+	open()
+	if st, err := fc.Wait(ctx, held.JobID); err != nil || st.Results[0].Error != "" {
+		t.Fatalf("released job = %+v (%v), want a clean result", st, err)
+	}
+}
+
+// newStalledWorker serves a fake msrd that accepts a sub-job, opens its
+// result stream and then writes nothing more, failing /healthz from the
+// moment the stream opens: a hung process on a live TCP connection.
+func newStalledWorker(t *testing.T) string {
+	t.Helper()
+	var stalled atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var req api.SubmitRequest
+		_ = json.NewDecoder(r.Body).Decode(&req) // the coordinator sends valid specs
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(api.SubmitResponse{JobID: "stalled", Total: len(req.Specs)})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		stalled.Store(true)
+		<-r.Context().Done()
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		if stalled.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		_, _ = w.Write([]byte(`{"status":"ok"}`))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestFleetStalledStreamRetried pins the stalled-stream fault: a worker
+// that takes a chunk, stalls its result stream and then fails its health
+// checks loses the chunk when it is demoted, and the job finishes on the
+// rest of the ring.
+func TestFleetStalledStreamRetried(t *testing.T) {
+	stalledAddr := newStalledWorker(t)
+	addr, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
+	addrs := []string{stalledAddr, addr}
+	_, fc := newFleet(t, fleet.Config{Workers: addrs})
+
+	specs := append(specsOn(t, addrs, stalledAddr, 4), specsOn(t, addrs, addr, 4)...)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sub, err := fc.Submit(ctx, specs)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st, err := fc.Wait(ctx, sub.JobID)
+	if err != nil {
+		t.Fatalf("the job never finished past the stalled worker: %v", err)
+	}
+	for i, r := range st.Results {
+		if r.Error != "" {
+			t.Errorf("result %d errored: %s", i, r.Error)
+		}
+	}
+	m, err := fc.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	if retries := metricValue(t, m, "msrfleet_retries_total"); retries < 1 {
+		t.Errorf("msrfleet_retries_total = %v, want >= 1: the stalled worker's specs should have been retried", retries)
 	}
 }
 

@@ -140,6 +140,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// finishedJobs is how many finished jobs the job book keeps: the oldest
+// is dropped when another finishes, so GET /v1/jobs/{id} answers 404 for
+// it. Queued and running jobs are always kept. A dropped job's results
+// stay in the result cache and store under their canonical keys, so
+// resubmitting it is cheap; a stream already open on it keeps its job.
+const finishedJobs = 1024
+
 // flight is one in-progress simulation identified by its canonical key.
 // Followers (identical specs from any job) wait on done and read res.
 type flight struct {
@@ -158,10 +165,13 @@ type Server struct {
 	hub     *events.Hub
 	started time.Time
 
-	mu     sync.Mutex // guards jobs, closed, queue sends
-	jobs   map[string]*job
-	closed bool
-	queue  chan *job
+	mu   sync.Mutex // guards jobs, finished, closed, queue sends
+	jobs map[string]*job
+	// finished lists the ids of the finished jobs still in jobs, oldest
+	// first (see finishedJobs).
+	finished []string
+	closed   bool
+	queue    chan *job
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -449,6 +459,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	j.finish(time.Now(), nil)
+	s.retire(j)
 	outcome := "completed"
 	evType := events.TypeJobDone
 	if j.failed() {
@@ -469,6 +480,18 @@ func (s *Server) runJob(j *job) {
 		"cache_hits", st.CacheHits,
 		"dedup_joins", st.DedupJoins,
 		"duration_ms", float64(st.Finished.Sub(st.Started).Microseconds())/1000)
+}
+
+// retire records j as finished, dropping the oldest finished job from
+// the book once it holds more than finishedJobs.
+func (s *Server) retire(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > finishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // finishLeader settles a leader's flight with its result (caching

@@ -227,6 +227,79 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsBounded pins the job book's bound: the server keeps
+// the 1024 most recently finished jobs and answers 404 for an older one,
+// while a job still running stays however many others finish meanwhile.
+func TestFinishedJobsBounded(t *testing.T) {
+	started, hold := make(chan struct{}, 1), make(chan struct{})
+	backend := backendFunc(func(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+		if specs[0].Entries == 16 {
+			started <- struct{}{}
+			select {
+			case <-hold:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return (&sim.Runner{}).Run(ctx, specs)
+	})
+	_, ts, c := newTestDaemon(t, server.Config{Backend: fixed{backend}})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	submit := func(entries int) string {
+		t.Helper()
+		sub, err := c.Submit(ctx, []api.Spec{{Workload: "pr", Scale: 0, Engine: "rgid", Streams: 1, Entries: entries}})
+		if err != nil {
+			t.Fatalf("submit entries=%d: %v", entries, err)
+		}
+		return sub.JobID
+	}
+	code := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	first := submit(8)
+	if _, err := c.Wait(ctx, first); err != nil {
+		t.Fatalf("first job: %v", err)
+	}
+	held := submit(16)
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("the held job never started")
+	}
+	// Cache hits finish at submission, so 1024 of them finish while the
+	// held job runs.
+	later := make([]string, 1024)
+	for i := range later {
+		later[i] = submit(8)
+	}
+
+	for _, p := range []string{"/v1/jobs/" + first, "/v1/jobs/" + first + "/stream"} {
+		if got := code(p); got != http.StatusNotFound {
+			t.Errorf("GET %s after 1024 later jobs finished = %d, want 404", p, got)
+		}
+	}
+	for _, id := range []string{later[0], later[len(later)-1], held} {
+		if got := code("/v1/jobs/" + id); got != http.StatusOK {
+			t.Errorf("GET /v1/jobs/%s = %d, want 200", id, got)
+		}
+	}
+	release()
+	if st, err := c.Wait(ctx, held); err != nil || st.Results[0].Error != "" {
+		t.Fatalf("released job = %+v (%v), want a clean result", st, err)
+	}
+}
+
 func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	_, ts, c := newTestDaemon(t, server.Config{})
 	_, err := c.Submit(context.Background(), []api.Spec{{Workload: "no-such-workload"}})

@@ -60,7 +60,10 @@ echo "== tailing the fleet event bus"
 TAIL_PID=$!
 PIDS+=($TAIL_PID)
 subscriber_attached() {
-  curl -fsS "http://$COORD/metrics" | grep -q '^msrfleet_ws_connections [1-9]'
+  # No -q: grep must read to the end. The coordinator streams its own
+  # series before its workers', so a grep that quit at the match would
+  # close the pipe under curl, and pipefail would fail the check.
+  curl -fsS "http://$COORD/metrics" | grep '^msrfleet_ws_connections [1-9]'
 }
 wait_until 30 subscriber_attached
 
