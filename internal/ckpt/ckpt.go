@@ -2,14 +2,15 @@
 // map from string keys to immutable byte blobs, held in a bounded
 // in-memory LRU over an optional disk tier. It stores three kinds of
 // blob, each under its own key space: serialized architectural states
-// (emu.ArchState.AppendBinary) keyed by a spec's sim.Spec.CheckpointKey
-// plus a position suffix, the JSON phase profiles of sim's phase
-// selection, and msrd's completed wire results, which internal/store
-// encodes and decodes over a disk-only Store. Any sweep over the same
-// program and fidelity geometry — every config of a batch, every re-run,
-// every fleet worker the spec rendezvous-homes to — restores a boundary
-// in O(state) instead of re-emulating O(instructions) of functional
-// prefix.
+// (emu.Emulator.AppendBinary, which records only the memory pages that
+// differ from the program's load image) keyed by a spec's
+// sim.Spec.CheckpointKey plus a position suffix, the JSON phase profiles
+// of sim's phase selection, and msrd's completed wire results, which
+// internal/store encodes and decodes over a disk-only Store. Any sweep
+// over the same program and fidelity geometry — every config of a batch,
+// every re-run, every fleet worker the spec rendezvous-homes to —
+// restores a boundary in O(changed state) instead of re-emulating
+// O(instructions) of functional prefix.
 //
 // The memory tier is an LRU bounded by total blob bytes; Get returns the
 // stored slice without copying (blobs are immutable by contract). A
@@ -46,7 +47,9 @@ import (
 
 // DefaultMemBytes is the memory bound of the checkpoint stores the server
 // and sim.Runner create for themselves and of msrd -ckpt: enough for the
-// checkpoint sets of several standard-scale sweeps.
+// checkpoint sets of several standard-scale sweeps. The benchmark's
+// phase-selected sweep of the 11 SPEC-like programs at scale 1 leaves
+// 1,055 entries in 16.0 MB.
 const DefaultMemBytes = 256 << 20
 
 const (
@@ -365,6 +368,22 @@ func (s *Store) Contains(key string) bool {
 	}
 	_, ok := s.dentries[key]
 	return ok
+}
+
+// Delete removes key from both tiers and its file from disk. A later Put
+// of the key writes it to disk afresh.
+func (s *Store) Delete(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[key]; ok {
+		s.order.Remove(el)
+		delete(s.entries, key)
+		s.memSize -= el.Value.(*entry).size
+	}
+	if el, ok := s.dentries[key]; ok {
+		s.removeDiskLocked(el)
+		_ = os.Remove(s.path(key))
+	}
 }
 
 // Put stores blob under key in the memory tier (if there is one) and,

@@ -422,3 +422,43 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// TestDeleteDropsBothTiers: Delete removes a key from memory and disk,
+// so neither a Get nor a reopened store finds it, and a later Put of the
+// key persists the new blob.
+func TestDeleteDropsBothTiers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, -1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k", blob(1, 64))
+	s.Put("other", blob(2, 64))
+	s.Flush()
+	s.Delete("k")
+	if _, ok := s.Get("k"); ok || s.Contains("k") {
+		t.Fatal("deleted key still served")
+	}
+	if s.Len() != 1 || s.Size() != 64 || s.DiskLen() != 1 {
+		t.Fatalf("after Delete: Len %d, Size %d, DiskLen %d; want 1, 64, 1", s.Len(), s.Size(), s.DiskLen())
+	}
+	s.Close()
+
+	s, err = Open(dir, -1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains("k") || !s.Contains("other") {
+		t.Fatal("reopened store disagrees with the Delete")
+	}
+	s.Put("k", blob(3, 32))
+	s.Close()
+	s, err = Open(dir, -1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got, ok := s.Get("k"); !ok || string(got) != string(blob(3, 32)) {
+		t.Fatal("a Put after Delete did not persist")
+	}
+}

@@ -10,13 +10,14 @@ import (
 	"mssr/internal/isa"
 )
 
-// This file is the checkpoint serialization of ArchState: a versioned,
-// checksummed, little-endian binary encoding of the architectural machine
-// state (registers plus the paged sparse memory) that internal/ckpt
-// stores content-addressed and internal/sim restores instead of
-// re-emulating the functional prefix. The format is a persistence
-// format — checkpoints written by one process are restored by another —
-// so any change must bump stateVersion and is never a harmless refactor.
+// This file is the checkpoint serialization of an emulator's state: a
+// versioned, checksummed, little-endian binary encoding of the
+// architectural machine state (registers plus the paged sparse memory)
+// that internal/ckpt stores content-addressed and internal/sim restores
+// instead of re-emulating the functional prefix. The format is a
+// persistence format — checkpoints written by one process are restored by
+// another — so any change must bump stateVersion and is never a harmless
+// refactor.
 //
 // Layout (all integers little-endian):
 //
@@ -26,89 +27,114 @@ import (
 //	retired uint64
 //	flags   uint64   bit 0: halted
 //	regs    [NumArchRegs]uint64
-//	npages  uint64   count of live (non-zero) pages
-//	pages   npages × { pageNum uint64, live uint64, words [pageWords]uint64 }
+//	npages  uint64   count of page records
+//	pages   npages × { pageNum uint64, words [pageWords]uint64 }
 //	sum     uint64   FNV-1a of every preceding byte
 //
-// Only pages holding at least one non-zero word are encoded: a page the
-// writer allocated but zeroed again reads identically to one never
-// allocated, matching Memory.Equal/Hash semantics, so the decoded state
-// is execution-equivalent (and digest-identical) to the source.
+// Memory is recorded against the program's load image, the memory
+// New(prog) starts with: a page record is written, in ascending
+// page-number order, for every page whose words differ from the image's,
+// and for no other. An image page the program has since zeroed is an
+// all-zero record; a page the image lacks and the program left zero is
+// no record, matching Memory.Equal/Hash semantics. A restore copies the
+// image and overwrites the recorded pages, so the restored state is
+// execution-equivalent (and digest-identical) to the source, provided it
+// is restored into the program that captured it.
 
-// stateVersion guards the ArchState binary format; decoders reject
-// versions they do not know.
-const stateVersion = 1
+// stateVersion guards the binary format; decoders reject versions they
+// do not know. Version 1 recorded every non-zero page.
+const stateVersion = 2
 
 var stateMagic = [4]byte{'m', 's', 'r', 'A'}
 
-// ErrCorruptState is wrapped by every DecodeState/RestoreBinary failure:
-// truncation, bad magic, unknown version, checksum mismatch, unknown flag
-// bits or a page list AppendBinary would not write.
+// ErrCorruptState is wrapped by every RestoreBinary failure: truncation,
+// bad magic, unknown version, checksum mismatch, unknown flag bits or a
+// page list AppendBinary would not write.
 var ErrCorruptState = errors.New("emu: corrupt arch-state encoding")
 
 const (
 	stateHeaderBytes = 4 + 4 + 8 + 8 + 8 + isa.NumArchRegs*8 + 8
-	statePageBytes   = 8 + 8 + pageWords*8
+	statePageBytes   = 8 + PageBytes
 	stateSumBytes    = 8
 	// maxPageNum is the page number of the highest byte address.
 	maxPageNum = math.MaxUint64 >> (3 + pageShift)
 )
 
-// EncodedSize returns the exact number of bytes AppendBinary appends for
-// the current state.
-func (st *ArchState) EncodedSize() int {
-	n := 0
-	for _, pn := range st.Mem.order {
-		if st.Mem.pages[pn].live > 0 {
-			n++
-		}
+// loadImage returns the program's load image, building it the first
+// time the emulator captures or restores a checkpoint of its program.
+func (e *Emulator) loadImage() *Memory {
+	if e.imageOf != e.Prog {
+		e.image = NewMemory()
+		e.image.Load(e.Prog)
+		e.imageOf = e.Prog
 	}
-	return stateHeaderBytes + n*statePageBytes + stateSumBytes
+	return e.image
 }
 
-// AppendBinary appends the versioned, checksummed binary encoding of st
-// to dst and returns the extended slice. The encoding is deterministic:
-// pages are written in ascending page-number order, so equal states
-// produce byte-identical encodings (the property that makes checkpoints
+// zeroPage is what a page a memory lacks reads as.
+var zeroPage page
+
+// changedPages calls f, in ascending page order, for every page of m
+// whose words differ from img's, passing m's page (zeroPage where m
+// lacks it).
+func changedPages(m, img *Memory, f func(pn uint64, p *page)) {
+	for i, j := 0, 0; i < len(m.order) || j < len(img.order); {
+		pn := uint64(math.MaxUint64) // above maxPageNum
+		if i < len(m.order) {
+			pn = m.order[i]
+		}
+		if j < len(img.order) {
+			pn = min(pn, img.order[j])
+		}
+		p, q := &zeroPage, &zeroPage
+		if i < len(m.order) && m.order[i] == pn {
+			p = m.pages[pn]
+			i++
+		}
+		if j < len(img.order) && img.order[j] == pn {
+			q = img.pages[pn]
+			j++
+		}
+		if p.live != q.live || p.words != q.words {
+			f(pn, p)
+		}
+	}
+}
+
+// AppendBinary appends the versioned, checksummed binary encoding of the
+// emulator's current state to dst and returns the extended slice. The
+// encoding is deterministic: equal states of one program produce
+// byte-identical encodings (the property that makes checkpoints
 // content-addressable).
-func (st *ArchState) AppendBinary(dst []byte) []byte {
+func (e *Emulator) AppendBinary(dst []byte) []byte {
+	img := e.loadImage()
+	npages := 0
+	changedPages(e.Mem, img, func(uint64, *page) { npages++ })
 	base := len(dst)
-	need := st.EncodedSize()
-	if cap(dst)-base < need {
+	if need := stateHeaderBytes + npages*statePageBytes + stateSumBytes; cap(dst)-base < need {
 		grown := make([]byte, base, base+need)
 		copy(grown, dst)
 		dst = grown
 	}
 	dst = append(dst, stateMagic[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, stateVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, st.PC)
-	dst = binary.LittleEndian.AppendUint64(dst, st.Retired)
+	dst = binary.LittleEndian.AppendUint64(dst, e.PC)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Retired)
 	var flags uint64
-	if st.Halted {
+	if e.Halted {
 		flags |= 1
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, flags)
-	for _, r := range st.Regs {
+	for _, r := range e.Regs {
 		dst = binary.LittleEndian.AppendUint64(dst, r)
 	}
-	var npages uint64
-	for _, pn := range st.Mem.order {
-		if st.Mem.pages[pn].live > 0 {
-			npages++
-		}
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, npages)
-	for _, pn := range st.Mem.order {
-		p := st.Mem.pages[pn]
-		if p.live == 0 {
-			continue
-		}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(npages))
+	changedPages(e.Mem, img, func(pn uint64, p *page) {
 		dst = binary.LittleEndian.AppendUint64(dst, pn)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.live))
 		for _, w := range p.words {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
-	}
+	})
 	h := fnv.New64a()
 	h.Write(dst[base:])
 	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
@@ -137,15 +163,14 @@ func verifyState(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorruptState, flags)
 	}
 	// Bound the page count before multiplying: a crafted count wraps the
-	// product (2^60 pages × statePageBytes ≡ 0 mod 2^64).
+	// product (2^61 pages × statePageBytes ≡ 0 mod 2^64).
 	npages := binary.LittleEndian.Uint64(body[stateHeaderBytes-8:])
 	if npages > uint64(len(body)-stateHeaderBytes)/statePageBytes || stateHeaderBytes+int(npages)*statePageBytes != len(body) {
 		return nil, fmt.Errorf("%w: %d pages do not fill a %d-byte payload", ErrCorruptState, npages, len(body))
 	}
 	// Page numbers must ascend, as AppendBinary writes them, and be ones a
 	// word address can reach: a repeated or unsorted page would restore a
-	// memory whose page list disagrees with its page table. Live counts
-	// are not checked here; decodeInto recounts them from the words.
+	// memory whose page list disagrees with its page table.
 	var prev uint64
 	for off := stateHeaderBytes; off < len(body); off += statePageBytes {
 		pn := binary.LittleEndian.Uint64(body[off:])
@@ -157,71 +182,12 @@ func verifyState(b []byte) ([]byte, error) {
 	return body, nil
 }
 
-// decodeInto installs a verified payload into the given state fields,
-// reusing mem's pooled pages (steady-state restores of a constant
-// footprint allocate nothing).
-func decodeInto(body []byte, regs *[isa.NumArchRegs]uint64, mem *Memory, pc, retired *uint64, halted *bool) {
-	*pc = binary.LittleEndian.Uint64(body[8:])
-	*retired = binary.LittleEndian.Uint64(body[16:])
-	*halted = binary.LittleEndian.Uint64(body[24:])&1 != 0
-	off := 32
-	for i := range regs {
-		regs[i] = binary.LittleEndian.Uint64(body[off:])
-		off += 8
-	}
-	npages := int(binary.LittleEndian.Uint64(body[off:]))
-	off += 8
-	mem.Clear()
-	for k := 0; k < npages; k++ {
-		pn := binary.LittleEndian.Uint64(body[off:])
-		off += 16 // the encoded live count is recounted from the words
-		// Pages arrive in ascending order (the encoder walks the sorted
-		// page list), so appending keeps mem.order sorted without the
-		// binary-search insert of the general write path.
-		var p *page
-		if n := len(mem.free); n > 0 {
-			p = mem.free[n-1]
-			mem.free = mem.free[:n-1]
-		} else {
-			p = new(page)
-		}
-		// Counting the nonzero words while copying them keeps the memory's
-		// live accounting true to its contents whatever the live field
-		// says; (w|-w)>>63 is 1 exactly when w is nonzero.
-		live := 0
-		for i := range p.words {
-			w := binary.LittleEndian.Uint64(body[off:])
-			p.words[i] = w
-			live += int((w | -w) >> 63)
-			off += 8
-		}
-		p.live = live
-		mem.pages[pn] = p
-		mem.order = append(mem.order, pn)
-		mem.live += live
-	}
-}
-
-// DecodeState decodes a checkpoint produced by AppendBinary into st,
-// verifying framing and checksum first. st.Mem is reused when non-nil
-// (its pooled pages absorb the footprint), allocated otherwise.
-func DecodeState(b []byte, st *ArchState) error {
-	body, err := verifyState(b)
-	if err != nil {
-		return err
-	}
-	if st.Mem == nil {
-		st.Mem = NewMemory()
-	}
-	decodeInto(body, &st.Regs, st.Mem, &st.PC, &st.Retired, &st.Halted)
-	return nil
-}
-
-// RestoreBinary installs a checkpoint produced by AppendBinary directly
-// into the emulator — the hot restore path of checkpointed multi-fidelity
-// runs. It is equivalent to DecodeState followed by SetState but decodes
-// straight into the emulator's registers and pooled memory pages, so a
-// steady-state restore performs one pass over the encoding and allocates
+// RestoreBinary installs a checkpoint produced by AppendBinary into the
+// emulator — the hot restore path of checkpointed multi-fidelity runs.
+// It verifies the whole encoding first, so a rejected one leaves the
+// emulator untouched. The memory then starts as a copy of the program's
+// load image in the emulator's pooled pages, and each recorded page
+// overwrites its image page, so a steady-state restore allocates
 // nothing. The loaded program is unchanged; b must describe a point in
 // the same program.
 func (e *Emulator) RestoreBinary(b []byte) error {
@@ -229,6 +195,28 @@ func (e *Emulator) RestoreBinary(b []byte) error {
 	if err != nil {
 		return err
 	}
-	decodeInto(body, &e.Regs, e.Mem, &e.PC, &e.Retired, &e.Halted)
+	e.PC = binary.LittleEndian.Uint64(body[8:])
+	e.Retired = binary.LittleEndian.Uint64(body[16:])
+	e.Halted = binary.LittleEndian.Uint64(body[24:])&1 != 0
+	for i := range e.Regs {
+		e.Regs[i] = binary.LittleEndian.Uint64(body[32+8*i:])
+	}
+	m := e.Mem
+	m.CopyFrom(e.loadImage())
+	for off := stateHeaderBytes; off < len(body); off += statePageBytes {
+		p := m.ensure(binary.LittleEndian.Uint64(body[off:]))
+		words := body[off+8 : off+statePageBytes]
+		// Counting the nonzero words while copying them keeps the memory's
+		// live accounting true to its contents; (w|-w)>>63 is 1 exactly
+		// when w is nonzero.
+		live := 0
+		for i := range p.words {
+			w := binary.LittleEndian.Uint64(words[8*i:])
+			p.words[i] = w
+			live += int((w | -w) >> 63)
+		}
+		m.live += live - p.live
+		p.live = live
+	}
 	return nil
 }

@@ -27,6 +27,11 @@ type Emulator struct {
 	// reused for every instruction, so neither loop copies or allocates
 	// one per step.
 	scratch StepInfo
+
+	// image is imageOf's load image, the memory checkpoints are encoded
+	// against (loadImage).
+	image   *Memory
+	imageOf *isa.Program
 }
 
 // New returns an emulator with the program's data segments loaded and the

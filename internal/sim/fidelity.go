@@ -52,14 +52,16 @@ func boundaryKey(ckey string, pos uint64) string {
 func endKey(ckey string) string { return ckey + "#end" }
 
 // restoreBoundary restores em from the named checkpoint, counting the
-// hit or miss on res. A blob that fails verification counts as a miss
-// and the caller re-emulates.
+// hit or miss on res. A blob that fails to restore (one written by an
+// older encoding, say) counts as a miss and is deleted from the store,
+// so the capture that follows the caller's re-emulation replaces it.
 func restoreBoundary(store *ckpt.Store, key string, em *emu.Emulator, res *Result) bool {
 	if blob, ok := store.Get(key); ok {
 		if err := em.RestoreBinary(blob); err == nil {
 			res.CkptHits++
 			return true
 		}
+		store.Delete(key)
 	}
 	res.CkptMisses++
 	return false
@@ -72,8 +74,7 @@ func captureBoundary(store *ckpt.Store, key string, em *emu.Emulator) {
 	if store == nil || store.Contains(key) {
 		return
 	}
-	st := em.State()
-	store.Put(key, st.AppendBinary(nil))
+	store.Put(key, em.AppendBinary(nil))
 }
 
 // A window is one detailed measurement of a window plan.
