@@ -387,8 +387,7 @@ func TestFleetWorkSteal(t *testing.T) {
 }
 
 // specsOn returns n distinct specs whose shard keys rendezvous-hash onto
-// addr in the ring addrs. The candidates vary the workload first: keys
-// that differ only in their last bytes tend to hash onto one worker.
+// addr in the ring addrs.
 func specsOn(t *testing.T, addrs []string, addr string, n int) []api.Spec {
 	t.Helper()
 	var out []api.Spec

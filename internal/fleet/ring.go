@@ -12,13 +12,20 @@ import "hash/fnv"
 // that worker's keys (everyone else's argmax is unchanged) — the
 // "re-hash" in the failure path moves the minimum possible work.
 
-// score is the deterministic weight of placing key on worker.
+// score is the deterministic weight of placing key on worker: FNV-1a
+// over worker, a zero byte and key, passed through splitmix64's
+// finalizer. FNV-1a alone carries a key's last bytes poorly into the
+// high bits pick compares, so keys that differ only at their end (a
+// geometry sweep's entries suffix) would cluster on one worker.
 func score(worker, key string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(worker))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(key))
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // pick returns the rendezvous winner for key among workers ("" when the

@@ -98,3 +98,27 @@ func TestInjectLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestPickSpreadsSuffixKeys: keys that differ only at their end, as a
+// geometry sweep's misses do, spread over two loopback workers. For each
+// of 200 port pairs, no worker may take more than 48 of the 64 keys
+// nested-mispred@s0/rgid-1xE (E = 1..64).
+func TestPickSpreadsSuffixKeys(t *testing.T) {
+	worst, oneSided := 0, 0
+	for i := 0; i < 200; i++ {
+		ws := []string{fmt.Sprintf("127.0.0.1:%d", 40000+2*i), fmt.Sprintf("127.0.0.1:%d", 40001+2*i)}
+		n := 0
+		for e := 1; e <= 64; e++ {
+			if pick(ws, fmt.Sprintf("nested-mispred@s0/rgid-1x%d", e)) == ws[0] {
+				n++
+			}
+		}
+		worst = max(worst, n, 64-n)
+		if n == 0 || n == 64 {
+			oneSided++
+		}
+	}
+	if worst > 48 {
+		t.Errorf("a worker takes %d of 64 suffix-only keys; %d of 200 pairs put all 64 on one worker", worst, oneSided)
+	}
+}
