@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Accuracy and speed gates over the benchmark's own output. Runs three
-# bench/ workloads for one second each, plus full-detail msrsim runs of
-# mcf, and fails unless every floor below holds. Run it from the
-# repository root:
+# Accuracy, speed and footprint gates over the benchmark's own output.
+# Runs three bench/ workloads for one second each, a traced one-second
+# sampled-ckpt run and full-detail msrsim runs of mcf, and fails unless
+# every bound below holds. Run it from the repository root:
 #
 #   bash scripts/bench_gates.sh
 #
@@ -27,6 +27,12 @@ min_ckpt_speedup=2
 # only ever slows a run down.
 min_mcf_mips=0.33
 mcf_runs=3
+# The checkpoint store's size after a traced sampled-ckpt run, in bytes.
+# The captured states depend on the programs alone, so the size is exact
+# on any host: 15,960,707 bytes when each checkpoint records only the
+# pages that differ from its program's load image, 70,285,955 when each
+# recorded every non-zero page.
+max_ckpt_bytes=20000000
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -39,6 +45,12 @@ for w in grid-detail sampled-uniform sampled-ckpt; do
 		failed=1
 	fi
 done
+
+echo "== bench: sampled-ckpt, traced"
+if ! bash bench/run.sh -workload sampled-ckpt -seconds 1 -trace 1 -result "$tmp/sampled-ckpt-traced.json"; then
+	echo "bench_gates: traced sampled-ckpt failed its golden check" >&2
+	failed=1
+fi
 
 echo "== msrsim: mcf, rgid-4x64, scale 1, full detail, fastest of $mcf_runs"
 mcf_mips=null
@@ -73,7 +85,7 @@ gate() {
 	else
 		failed=1
 	fi
-	if [[ $2 =~ ^[-+0-9.eE]+$ ]]; then
+	if [[ $2 =~ ^[-+0-9.eE]+$ && ! $2 =~ ^[0-9]+$ ]]; then
 		shown=$(printf '%.3f' "$2")
 	fi
 	printf '%-4s  %-44s %10s  %s %s\n' "$verdict" "$1" "$shown" "$3" "$4"
@@ -96,6 +108,7 @@ gate "sampled-uniform / grid-detail sim_mips" "$(ratio "$uniform_mips" "$grid_mi
 gate "sampled-ckpt / sampled-uniform sim_mips" "$(ratio "$ckpt_mips" "$uniform_mips")" ">=" "$min_ckpt_speedup"
 gate "msrsim mcf MIPS (fresh core, fastest run)" "$mcf_mips" ">=" "$min_mcf_mips"
 gate "sampled-ckpt failed specs (golden, warm path)" "$(metric sampled-ckpt .failed)" "==" 0
+gate "sampled-ckpt ckpt.bytes (traced)" "$(metric sampled-ckpt-traced '.metrics["ckpt.bytes"].value')" "<=" "$max_ckpt_bytes"
 
 if [ "$failed" -ne 0 ]; then
 	echo "bench_gates: FAILED" >&2
