@@ -4,70 +4,26 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"mssr/internal/emu"
-	"mssr/internal/isa"
 )
 
 // DefaultBatchStride is the lockstep pacing quantum: each pacing round
 // advances every live batch member until it has retired at least this
 // many further instructions. Pacing in instruction space (not cycles)
-// is what keeps the members aligned on the shared architectural stream
-// no matter how differently their microarchitectures perform: after a
-// round every live core sits within one stride (plus a commit group) of
-// every other, so the stream ring stays small and all members finish
-// the program in the same round neighbourhood.
+// keeps the members on the same stretch of the shared program no matter
+// how differently their microarchitectures perform: after a round every
+// live core sits within one stride (plus a commit group) of every other,
+// so the stretch of instructions and data the members touch stays
+// resident in the host caches across them.
 const DefaultBatchStride = 4096
 
-// archStream replays one architectural execution of the shared program
-// to every batch member that wants commit-time checking. A single
-// emulator steps the program on demand and records each StepInfo in a
-// ring indexed by retire count; members read records by their own
-// cursor (Core.checkIdx). Because the emulator is deterministic, the
-// record a member reads is bit-identical to what its private checker
-// would have produced — M lockstep variants consume one architectural
-// execution instead of stepping M emulators.
-type archStream struct {
-	em  *emu.Emulator
-	rec ring[emu.StepInfo]
-}
-
-// at returns the StepInfo of the idx-th retired instruction, stepping
-// the emulator forward as needed. idx must be >= the last trim point;
-// the ring is sized for the pacing skew bound, so an overflow is a
-// batch-driver bug, not backpressure.
-func (s *archStream) at(idx uint64) emu.StepInfo {
-	for s.rec.Tail() <= idx {
-		*s.rec.PushSlot() = s.em.Step()
-	}
-	return *s.rec.AtAbs(idx)
-}
-
-// trim releases every record below minIdx — the slowest live consumer's
-// cursor — keeping the ring's live window within one pacing stride.
-func (s *archStream) trim(minIdx uint64) {
-	for s.rec.Base() < minIdx {
-		s.rec.DropFront()
-	}
-}
-
-// reset rewinds the stream to replay prog from its first instruction.
-func (s *archStream) reset(prog *isa.Program) {
-	s.em.Reset(prog)
-	s.rec.Clear()
-}
-
-// Batch steps M cores in lockstep over one shared instruction stream.
-// The members are fully independent microarchitectural variants — each
-// owns its ROB/LSQ rings, reuse tables, predictor, caches, stats and
-// sampler — so any interleaving of their cycle loops produces results
-// bit-identical to running them sequentially; what the batch shares is
-// the variant-independent work: the program (built once by the caller),
-// the architectural reference execution (one emulator feeding every
-// member's commit-time check through archStream), and the cache
-// residency of the instruction stream itself, which lockstep pacing
-// keeps hot across members instead of re-streaming the whole program M
-// times.
+// Batch steps M cores in lockstep over one shared program. The members
+// are fully independent microarchitectural variants — each owns its
+// ROB/LSQ rings, reuse tables, predictor, caches, stats, sampler and
+// commit-time checker — so any interleaving of their cycle loops
+// produces results bit-identical to running them sequentially. What the
+// batch shares is the host cache residency of the instruction stream
+// itself, which lockstep pacing keeps hot across members instead of
+// re-streaming the whole program M times.
 //
 // A Batch is reusable: construct it once for a set of cores, then for
 // each program Reset every core to the same *isa.Program and call Run.
@@ -78,8 +34,6 @@ type Batch struct {
 	errs   []error
 	done   []bool
 	walls  []time.Duration
-	check  archStream
-	nCheck int
 }
 
 // NewBatch builds a lockstep driver over cores, all of which must
@@ -93,36 +47,18 @@ func NewBatch(cores []*Core, stride uint64) (*Batch, error) {
 	if stride == 0 {
 		stride = DefaultBatchStride
 	}
-	maxCW, nCheck := 0, 0
 	for i, c := range cores {
 		if c.prog != cores[0].prog {
 			return nil, fmt.Errorf("core: batch member %d loaded with a different program", i)
 		}
-		if c.cfg.CommitWidth > maxCW {
-			maxCW = c.cfg.CommitWidth
-		}
-		if c.checker != nil {
-			nCheck++
-		}
 	}
-	b := &Batch{
+	return &Batch{
 		cores:  cores,
 		stride: stride,
 		errs:   make([]error, len(cores)),
 		done:   make([]bool, len(cores)),
 		walls:  make([]time.Duration, len(cores)),
-		nCheck: nCheck,
-	}
-	if nCheck > 0 {
-		// Live-window bound: at a round's start every live consumer has
-		// retired at least the previous target, and within the round no
-		// core passes the current target by more than one commit group,
-		// so the ring never holds more than stride + CommitWidth
-		// records.
-		b.check.em = emu.New(cores[0].prog)
-		b.check.rec = newRing[emu.StepInfo](int(stride) + maxCW + 8)
-	}
-	return b, nil
+	}, nil
 }
 
 // Run executes every member to completion in lockstep pacing rounds and
@@ -130,8 +66,7 @@ func NewBatch(cores []*Core, stride uint64) (*Batch, error) {
 // slice aliases the Batch's internal buffer and is valid until the next
 // Run). Each member's results — Stats, Result, intervals — are
 // bit-identical to what Core.RunContext would have produced for it
-// alone: stepUntil pauses are invisible to the pipeline, and the shared
-// architectural stream replays exactly what a private checker computes.
+// alone: stepUntil pauses are invisible to the pipeline.
 func (b *Batch) Run(ctx context.Context) []error {
 	prog := b.cores[0].prog
 	for i, c := range b.cores {
@@ -141,27 +76,9 @@ func (b *Batch) Run(ctx context.Context) []error {
 		b.errs[i] = nil
 		b.done[i] = false
 		b.walls[i] = 0
-		if c.checker != nil {
-			c.checkStream = &b.check
-			c.checkIdx = 0
-		}
-	}
-	if b.nCheck > 0 {
-		b.check.reset(prog)
 	}
 	remaining := len(b.cores)
 	for target := b.stride; remaining > 0; target += b.stride {
-		if b.nCheck > 0 {
-			min := ^uint64(0)
-			for i, c := range b.cores {
-				if !b.done[i] && c.checkStream != nil && c.checkIdx < min {
-					min = c.checkIdx
-				}
-			}
-			if min != ^uint64(0) {
-				b.check.trim(min)
-			}
-		}
 		for i, c := range b.cores {
 			if b.done[i] {
 				continue
@@ -171,7 +88,6 @@ func (b *Batch) Run(ctx context.Context) []error {
 			b.walls[i] += time.Since(t0)
 			if err != nil || c.halted {
 				c.finishRun()
-				c.checkStream = nil
 				b.errs[i] = err
 				b.done[i] = true
 				remaining--
@@ -181,13 +97,9 @@ func (b *Batch) Run(ctx context.Context) []error {
 	return b.errs
 }
 
-// Size reports the number of member cores.
-func (b *Batch) Size() int { return len(b.cores) }
-
 // Walls reports each member's accumulated in-pipeline wall time from the
 // last Run — the time its own stepUntil rounds consumed, excluding the
-// other members' turns — indexed like the cores slice. Per-member
-// throughput accounting stays truthful under batching because the
-// members' walls sum to (almost exactly) the batch's total runtime. The
-// returned slice aliases the Batch's internal buffer.
+// other members' turns — indexed like the cores slice. The members'
+// walls sum to (almost exactly) the batch's total runtime. The returned
+// slice aliases the Batch's internal buffer.
 func (b *Batch) Walls() []time.Duration { return b.walls }

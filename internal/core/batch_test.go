@@ -24,9 +24,10 @@ func batchTestNames() []string {
 }
 
 // batchTestCfg applies the equivalence-suite settings every batch test
-// runs under: commit-time checking (so the shared architectural stream
-// is exercised), interval sampling (so the NDJSON byte-identity check
-// has a stream to compare), and a generous cycle ceiling.
+// runs under: commit-time checking (so every member's own checker runs
+// across the pacing pauses), interval sampling (so the NDJSON
+// byte-identity check has a stream to compare), and a generous cycle
+// ceiling.
 func batchTestCfg(cfg Config) Config {
 	cfg.DebugCheck = true
 	cfg.MaxCycles = 50_000_000
@@ -61,8 +62,7 @@ func captureRef(t *testing.T, c *Core) batchRef {
 // stepping all twelve standard configs in one lockstep batch over a
 // shared instruction stream must produce Stats, final architectural
 // Results and interval NDJSON byte-identical to running each config
-// alone, because the members are fully independent cores and the shared
-// architectural replay records exactly what a private checker computes.
+// alone, because the members are fully independent cores.
 func TestBatchedMatchesSequential(t *testing.T) {
 	prog := hashyProgram(400)
 	cfgs := testConfigs()
@@ -107,8 +107,8 @@ func TestBatchedMatchesSequential(t *testing.T) {
 // TestBatchPooledReuse extends the fresh==Reset pooling contract to the
 // batch driver: a Batch whose member cores are Reset onto a second
 // program must reproduce, byte for byte, what fresh sequential cores
-// produce for that program — the shared check stream and per-member
-// cursors must carry nothing across Run calls.
+// produce for that program — no member, checker included, may carry
+// anything across Run calls.
 func TestBatchPooledReuse(t *testing.T) {
 	progA := hashyProgram(300)
 	progB := aliasProgram(300)

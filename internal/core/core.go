@@ -190,14 +190,9 @@ type Core struct {
 
 	tracer trace.Tracer
 
-	// Debug lockstep checker. checker is the core-private emulator built
-	// when cfg.DebugCheck is set; a batch driver overrides it with a
-	// shared replayed stream (checkStream + this core's read cursor
-	// checkIdx) so M lockstep variants consume one architectural
-	// execution instead of stepping M private emulators.
-	checker     *emu.Emulator
-	checkStream *archStream
-	checkIdx    uint64
+	// Debug lockstep checker: the core-private emulator built when
+	// cfg.DebugCheck is set, stepped once per committed instruction.
+	checker *emu.Emulator
 }
 
 type fetchedEntry struct {

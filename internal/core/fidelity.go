@@ -102,31 +102,18 @@ func (c *Core) EndWarmup() {
 	c.hier.ResetCounters()
 }
 
-// RunFor simulates until n more instructions have retired, the program
-// halts, ctx is cancelled, or the cycle limit elapses; n == 0 means run to
-// completion. It seals the run's counters exactly like RunContext, so one
-// Reset(+SeedFrom) pairs with one RunFor. Pausing at a retire target is
-// cycle-identical to an uninterrupted run (see stepUntil), which is what
-// makes a fast-forward-then-detail run comparable to the tail of a
-// full-detail one.
-func (c *Core) RunFor(ctx context.Context, n uint64) error {
-	target := ^uint64(0)
-	if n > 0 {
-		target = c.Stats.Retired + n
-	}
-	err := c.stepUntil(ctx, target)
-	c.finishRun()
-	return err
-}
-
 // RunWindow runs one detailed sample window with a measurement-excluded
 // detailed-warmup prefix: it first retires warmup instructions in full
 // detail (letting the pipeline, MSHRs and reuse structures reach steady
 // state), snapshots the counters into pre, then retires the window
-// (window == 0 means run to completion) and seals the run. win receives
-// the measured window alone — the period's counters minus the prefix
-// snapshot — which is what makes short sample windows unbiased by their
-// cold-start transient. Like RunFor, it pairs with one Reset(+SeedFrom).
+// (window == 0 means run to completion) and seals the run exactly like
+// RunContext, so one Reset(+SeedFrom) pairs with one RunWindow. win
+// receives the measured window alone — the period's counters minus the
+// prefix snapshot — which is what makes short sample windows unbiased by
+// their cold-start transient. Pausing at a retire target is
+// cycle-identical to an uninterrupted run (see stepUntil), which is what
+// makes a fast-forward-then-detail run comparable to the tail of a
+// full-detail one.
 func (c *Core) RunWindow(ctx context.Context, warmup, window uint64, pre, win *stats.Stats) error {
 	if warmup > 0 && !c.halted {
 		if err := c.stepUntil(ctx, c.Stats.Retired+warmup); err != nil {

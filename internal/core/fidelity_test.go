@@ -7,6 +7,7 @@ import (
 	"mssr/internal/emu"
 	"mssr/internal/isa"
 	"mssr/internal/randprog"
+	"mssr/internal/stats"
 	"mssr/internal/workloads"
 )
 
@@ -31,7 +32,7 @@ func runSeeded(t *testing.T, name string, p *isa.Program, cfg Config, ff uint64,
 	c.EndWarmup()
 	st := em.State()
 	c.SeedFrom(&st)
-	if err := c.RunFor(context.Background(), 0); err != nil {
+	if err := c.RunContext(context.Background()); err != nil {
 		t.Fatalf("%s/%s: seeded run: %v", p.Name, name, err)
 	}
 	want, err := emu.RunProgram(p, 500_000_000)
@@ -172,7 +173,8 @@ func TestSeededWindowRetiredBase(t *testing.T) {
 	st := em.State()
 	c.SeedFrom(&st)
 	const window = 200
-	if err := c.RunFor(context.Background(), window); err != nil {
+	var pre, win stats.Stats
+	if err := c.RunWindow(context.Background(), 0, window, &pre, &win); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Result().Retired; got != ff+c.Stats.Retired {

@@ -105,8 +105,4 @@ func (c *Core) resetPipeline(prog *isa.Program) {
 	c.cycle = 0
 	c.halted = false
 	c.retiredBase = 0
-	// Any batch-shared check stream belongs to the previous run; the
-	// batch driver re-attaches after Reset.
-	c.checkStream = nil
-	c.checkIdx = 0
 }

@@ -130,9 +130,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	// Batched: all twelve configs stepping the shared stream in lockstep,
-	// with commit-time checking consuming the shared architectural replay.
-	// The Batch is constructed once; steady-state reuse (reset members +
-	// Run) must allocate nothing, stream stepping included.
+	// each checking its commits against its own emulator. The Batch is
+	// constructed once; steady-state reuse (reset members + Run) must
+	// allocate nothing, checker stepping included.
 	t.Run("batched", func(t *testing.T) {
 		cfgs := testConfigs()
 		names := batchTestNames()
@@ -159,7 +159,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				}
 			}
 		}
-		run() // warm-up: grow every structure, stream ring included
+		run() // warm-up: grow every structure once
 		// 10 runs for the same GC-noise absorption as the per-config loop.
 		allocs := testing.AllocsPerRun(10, run)
 		if len(runErrs) > 0 {

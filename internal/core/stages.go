@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"mssr/internal/emu"
 	"mssr/internal/frontend"
 	"mssr/internal/isa"
 	"mssr/internal/rename"
@@ -613,26 +612,15 @@ func (c *Core) commit() {
 	}
 }
 
-// debugCheck compares one committing instruction against the lockstep
-// architectural reference and panics on divergence — the repository's
-// golden invariant that squash reuse never changes architectural
-// behaviour. The reference is either the core-private emulator
-// (standalone runs) or a batch's shared replay stream; the two are
-// bit-identical sources, since the stream records the same emulator's
-// StepInfo and Step writes Regs[Rd] = Outcome.Result for every
-// destination-carrying instruction.
+// debugCheck steps the core's own emulator over one committing
+// instruction and panics if the two disagree — the repository's golden
+// invariant that squash reuse never changes architectural behaviour. A
+// core checks the same way alone and as a batch member.
 func (c *Core) debugCheck(e *robEntry) {
-	var info emu.StepInfo
+	info := c.checker.Step()
 	var destWant uint64
-	if c.checkStream != nil {
-		info = c.checkStream.at(c.checkIdx)
-		c.checkIdx++
-		destWant = info.Outcome.Result
-	} else {
-		info = c.checker.Step()
-		if e.hasDest {
-			destWant = c.checker.Regs[e.instr.Rd]
-		}
+	if e.hasDest {
+		destWant = c.checker.Regs[e.instr.Rd]
 	}
 	fail := func(what string, got, want interface{}) {
 		panic(fmt.Sprintf("core: lockstep divergence at pc=0x%x seq=%d (%v): %s = %v, emulator has %v",

@@ -8,7 +8,8 @@ import (
 
 // TestMemoryCopyFrom pins the deep-copy semantics CopyFrom provides to
 // the fast-forward handoff: the copy compares equal (contents and
-// digest), does not alias the source, and reuses pooled pages across
+// digest), does not alias the source, hands the pages a smaller copy
+// leaves over back to the pool zeroed, and reuses pooled pages across
 // successive copies.
 func TestMemoryCopyFrom(t *testing.T) {
 	src := NewMemory()
@@ -31,7 +32,30 @@ func TestMemoryCopyFrom(t *testing.T) {
 	if !dst.Equal(src) {
 		t.Fatal("second copy does not match source")
 	}
-	allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) })
+	// Shrink, then grow into every page the smaller copy lacks: each
+	// comes from the pool and must read zero around the one write.
+	small := NewMemory()
+	small.Write(8, 5)
+	dst.CopyFrom(small)
+	ref := NewMemory()
+	ref.Write(8, 5)
+	for _, a := range []uint64{PageBytes + 16, 2*PageBytes + 16, 3*PageBytes + 16, 4*PageBytes + 16, 5*PageBytes + 16, 1<<30 + 16} {
+		dst.Write(a, 77)
+		ref.Write(a, 77)
+		base := a &^ (PageBytes - 1)
+		for w := base; w < base+PageBytes; w += 8 {
+			if w != a && dst.Read(w) != 0 {
+				t.Fatalf("page grown after a shrink holds stale word %#x = %d", w, dst.Read(w))
+			}
+		}
+	}
+	if !dst.Equal(ref) || dst.Hash() != ref.Hash() || dst.Len() != ref.Len() {
+		t.Fatal("shrunk-then-grown copy does not match a fresh memory")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		dst.CopyFrom(src)
+		dst.CopyFrom(small)
+	})
 	if allocs != 0 {
 		t.Errorf("steady-state CopyFrom allocates %.1f times", allocs)
 	}

@@ -184,8 +184,25 @@ func (m *Memory) Clone() *Memory {
 // In steady state (same footprint run to run, as when a pooled core is
 // reseeded from successive fast-forward states) it allocates nothing.
 func (m *Memory) CopyFrom(o *Memory) {
-	m.Clear()
-	m.order = append(m.order, o.order...)
+	// Each of o's pages overwrites a page of m whole, so only m's pages
+	// beyond o's count are zeroed for the pool. The rest are pushed last,
+	// so the loop below pops every one of them back out before the pool
+	// hands a page to ensure.
+	keep := min(len(m.order), len(o.order))
+	for _, pn := range m.order[keep:] {
+		p := m.pages[pn]
+		if p.live > 0 {
+			clear(p.words[:])
+			p.live = 0
+		}
+		m.free = append(m.free, p)
+	}
+	for _, pn := range m.order[:keep] {
+		m.free = append(m.free, m.pages[pn])
+	}
+	clear(m.pages)
+	m.cachedPage, m.cachedNum = nil, 0
+	m.order = append(m.order[:0], o.order...)
 	m.live = o.live
 	for _, pn := range o.order {
 		var p *page

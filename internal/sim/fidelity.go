@@ -24,7 +24,7 @@ import (
 // the same program skip the functional prefix entirely (Result.FFExecuted
 // == 0 on a fully warm run).
 //
-// The caller (runOne) owns core pooling, wall-clock accounting and the
+// The caller (runJob) owns core pooling, wall-clock accounting and the
 // observer; runFidelity fills res in place.
 func (r *Runner) runFidelity(ctx context.Context, s *Spec, prog *isa.Program, c *core.Core, res *Result) {
 	store := r.ckptStore(s)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mssr/internal/obs"
@@ -112,10 +113,7 @@ func TestFidelityPooledDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := (&Runner{Jobs: 1, FreshCores: true}).Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshRun(t, specs)
 	for i := range specs {
 		p, f := pooled[i], fresh[i]
 		if !reflect.DeepEqual(p.Stats, f.Stats) {
@@ -166,5 +164,17 @@ func TestFidelitySpecsRunAsSingletonsUnderBatching(t *testing.T) {
 	}
 	if batched[1].ExtrapolatedIPC != plain[1].ExtrapolatedIPC {
 		t.Error("fidelity member differs between batched and unbatched sweeps")
+	}
+}
+
+// TestFidelityPanicFailsJob: a panic midway through a sampled run, after
+// the result already holds partial counters, must still fail the job
+// rather than report those counters as a finished result.
+func TestFidelityPanicFailsJob(t *testing.T) {
+	r := &Runner{Jobs: 1, OnWindow: func(int, string, int, int) { panic("window hook") }}
+	res, err := r.Run(context.Background(), []Spec{{Workload: "mcf", Scale: 0, Engine: EngineRGID,
+		NoCheckpoint: true, FastForward: 1000, DetailedWindow: 500, SamplePeriods: 3}})
+	if err == nil || res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "window hook") {
+		t.Fatalf("panicking sampled run: err %v, result err %v; want the panic", err, res[0].Err)
 	}
 }

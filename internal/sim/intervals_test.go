@@ -101,10 +101,7 @@ func TestPooledIntervalDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 	ctx := context.Background()
-	fresh, err := (&Runner{Jobs: 1, FreshCores: true}).Run(ctx, sweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshRun(t, sweep())
 	pooled, err := (&Runner{Jobs: 1}).Run(ctx, sweep())
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
+	"mssr/internal/obs"
 	"mssr/internal/trace"
 )
 
@@ -27,16 +29,29 @@ func poolSweep() []Spec {
 	return specs
 }
 
+// freshRun runs each spec on a Runner of its own. A new Runner's pool
+// starts empty, so every spec gets a core from core.New: the reference
+// pooled and batched sweeps must match.
+func freshRun(t *testing.T, specs []Spec) []Result {
+	t.Helper()
+	out := make([]Result, len(specs))
+	for i, s := range specs {
+		res, err := (&Runner{Jobs: 1}).Run(context.Background(), []Spec{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res[0]
+	}
+	return out
+}
+
 // TestPooledDeterminism is the end-to-end guard on the core pool: a
 // sweep served by pooled (Reset) cores must be byte-identical, stat for
-// stat, to the same sweep with pooling disabled, and every pooled run
-// must still pass the architectural cross-check against the emulator.
+// stat, to the same specs run on fresh cores, and every pooled run must
+// still pass the architectural cross-check against the emulator.
 func TestPooledDeterminism(t *testing.T) {
 	ctx := context.Background()
-	fresh, err := (&Runner{Jobs: 1, FreshCores: true}).Run(ctx, poolSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshRun(t, poolSweep())
 	// Jobs=1 forces every job through the same worker, so after the
 	// first job each run reuses the pooled core from the previous one —
 	// the hardest case for Reset hygiene (A, B, A, B, ...).
@@ -114,6 +129,51 @@ func TestBatchedRunSubmissionOrder(t *testing.T) {
 		}
 		if results[i].Program == "" || results[i].Stats == nil {
 			t.Errorf("result %d incomplete: program=%q stats=%v", i, results[i].Program, results[i].Stats)
+		}
+	}
+}
+
+// TestCheckedGroupMatchesLoneRuns runs commit-time checking inside a
+// lockstep group: three full-detail configs of one workload share a job,
+// each member checks its commits against its own emulator, and every
+// result (stats, final architectural state, interval NDJSON) must equal
+// the same spec run on a Runner of its own.
+func TestCheckedGroupMatchesLoneRuns(t *testing.T) {
+	var specs []Spec
+	for _, e := range []Engine{EngineNone, EngineRGID, EngineRI} {
+		specs = append(specs, Spec{Workload: "mcf", Scale: 0, Engine: e,
+			Check: true, VerifyArch: true, SampleInterval: 256})
+	}
+	r := &Runner{Jobs: 1, Batching: true}
+	if jobs := r.groupJobs(specs); len(jobs) != 1 {
+		t.Fatalf("specs formed %d jobs, want one group", len(jobs))
+	}
+	grouped, err := r.Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := freshRun(t, specs)
+	ndjson := func(res Result) []byte {
+		var buf bytes.Buffer
+		if err := obs.WriteNDJSON(&buf, res.Intervals); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := range specs {
+		g, a := grouped[i], alone[i]
+		if !bytes.Equal(statsBytes(t, g), statsBytes(t, a)) {
+			t.Errorf("%s: grouped stats differ from a lone run:\ngrouped: %s\nalone:   %s",
+				g.Key, statsBytes(t, g), statsBytes(t, a))
+		}
+		if g.Arch.Retired == 0 || g.Arch != a.Arch {
+			t.Errorf("%s: grouped architectural state %+v, lone %+v", g.Key, g.Arch, a.Arch)
+		}
+		if iv := ndjson(g); len(iv) == 0 || !bytes.Equal(iv, ndjson(a)) {
+			t.Errorf("%s: grouped interval NDJSON differs from a lone run", g.Key)
+		}
+		if g.Wall <= 0 || g.MIPS <= 0 {
+			t.Errorf("%s: Wall %v, MIPS %v; want both positive", g.Key, g.Wall, g.MIPS)
 		}
 	}
 }

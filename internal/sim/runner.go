@@ -44,7 +44,11 @@ type Result struct {
 	// Arch is the final architectural state (populated when VerifyArch is
 	// set and the run completed).
 	Arch emu.Result
-	// Wall is the job's wall-clock duration.
+	// Wall is the host time this spec's run took: its own time in the
+	// detailed pipeline plus an equal share of its job's other work
+	// (program build, core draw, reference emulation). A lone spec's
+	// Wall is therefore its whole job's duration, and a batch group's
+	// member Walls sum to the group's.
 	Wall time.Duration
 	// Multi-fidelity outcome, populated only when the spec set FastForward
 	// (all zero-valued otherwise, so full-detail results — and their JSON —
@@ -81,9 +85,10 @@ type Result struct {
 	CkptHits   int
 	CkptMisses int
 	FFExecuted uint64
-	// MIPS is the job's simulated throughput: retired instructions per
-	// host wall-clock microsecond (millions of simulated instructions
-	// per second). Zero when the job failed before producing stats.
+	// MIPS is the spec's simulated throughput over Wall: retired
+	// instructions per host wall-clock microsecond (millions of
+	// simulated instructions per second). Zero when the job failed
+	// before producing stats.
 	MIPS float64
 	// Err is the job's failure, nil on success. Panics inside the job are
 	// recovered into errors; a timeout satisfies
@@ -105,16 +110,12 @@ type Backend interface {
 type Runner struct {
 	// Jobs bounds concurrently running simulations (<=0 = NumCPU).
 	Jobs int
-	// Timeout bounds each job's wall time unless the spec sets its own
-	// (0 = unbounded).
+	// Timeout is each spec's time budget unless the spec sets its own
+	// (0 = unbounded). A batch group's members share one clock, so the
+	// group is bounded by the sum of their budgets.
 	Timeout time.Duration
 	// Observer, when set, receives per-job start/finish notifications.
 	Observer Observer
-	// FreshCores disables core pooling: every job builds a new core.
-	// Pooling relies on fresh==Reset equivalence (core.New initializes
-	// through Core.Reset), so this exists for benchmarking the pooling
-	// win, not for correctness escape hatches.
-	FreshCores bool
 	// OnInterval, when set, receives every telemetry interval live, at
 	// the moment the core's sampler records it — before the run (or even
 	// its current sample window) completes. index is the spec's position
@@ -130,19 +131,16 @@ type Runner struct {
 	// OnInterval.
 	OnWindow func(index int, key string, window, windows int)
 
-	// Batching groups compatible specs — same workload+scale (or the same
-	// pre-built Program), no tracer, no per-spec timeout — into lockstep
-	// batch groups executed by core.Batch: the program is built once per
-	// group, every member core steps the shared instruction stream in
-	// retire-count strides, commit-time checking consumes one shared
-	// architectural replay, and VerifyArch runs the reference emulation
-	// once per group. Per-spec results are bit-identical to unbatched
-	// execution (the members are fully independent cores) and come back
+	// Batching chooses how specs are grouped into jobs. Without it every
+	// spec is a job of its own; with it, compatible full-detail specs —
+	// same workload+scale (or the same pre-built Program), no tracer, no
+	// per-spec timeout — share one job. Every full-detail job steps its
+	// cores in lockstep on a core.Batch (a lone spec is a group of one),
+	// so a group builds its program once, runs the VerifyArch reference
+	// emulation once, and keeps the instruction stream hot in the host
+	// caches across its members. Per-spec results are bit-identical
+	// either way (the members are fully independent cores) and come back
 	// in submission order regardless of how grouping reorders execution.
-	// Result.Wall for a batch member is its own in-pipeline time, so
-	// per-job MIPS accounting stays truthful. When the Runner has a
-	// default Timeout it bounds each batch group at Timeout × group size
-	// (members share one clock, so the per-job budget is pooled).
 	Batching bool
 
 	// Checkpoints is the store multi-fidelity jobs restore sample-period
@@ -240,19 +238,7 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for j := range idx {
-				if job := jobs[j]; len(job) == 1 {
-					i := job[0]
-					key := specs[i].Key()
-					if r.Observer != nil {
-						r.Observer.OnStart(i, len(specs), key)
-					}
-					results[i] = r.runOne(ctx, i, specs[i])
-					if r.Observer != nil {
-						r.Observer.OnFinish(i, len(specs), results[i])
-					}
-				} else {
-					r.runBatch(ctx, specs, job, results)
-				}
+				r.runJob(ctx, specs, jobs[j], results)
 			}
 		}()
 	}
@@ -286,10 +272,9 @@ dispatch:
 	return results, errors.Join(errs...)
 }
 
-// groupJobs partitions the spec indices into execution jobs: singleton
-// jobs run through runOne exactly as an unbatched Runner would, and
-// multi-member jobs run as one lockstep batch group. Without Batching
-// every spec is its own job. Grouping never changes result positions —
+// groupJobs partitions the spec indices into execution jobs. Without
+// Batching every spec is its own job; with it, specs sharing a batchKey
+// form one lockstep group. Grouping never changes result positions —
 // each job carries the original submission indices and results are
 // written positionally.
 func (r *Runner) groupJobs(specs []Spec) [][]int {
@@ -317,36 +302,63 @@ func (r *Runner) groupJobs(specs []Spec) [][]int {
 	return jobs
 }
 
-// runBatch executes one batch group — specs that share a program — in
-// lockstep on a core.Batch, writing each member's Result at its original
-// submission index. Per-member semantics match runOne: stats are cloned
-// before pooled cores return, errors stay per-member, a member's MIPS is
-// derived from its own in-pipeline wall time, and VerifyArch compares
-// against a reference emulation that runs once for the whole group.
-func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results []Result) {
+// runJob executes one job — a lone spec or a lockstep group sharing a
+// program — writing each member's Result at its submission index. The
+// program is built once and every member draws its core once. A lone
+// fast-forwarded spec then runs the multi-fidelity path; every
+// full-detail job steps its cores on a core.Batch and checks VerifyArch
+// against one reference emulation. The job's time budget is the sum of
+// its members' (Spec.Timeout, else Runner.Timeout). A panic is recovered
+// into the error of every member that has not failed already, and stats
+// are cloned before pooled cores return, so results never alias them.
+func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results []Result) {
+	var budget time.Duration
 	for _, i := range idxs {
 		results[i] = Result{Index: i, Key: specs[i].Key(), Spec: specs[i]}
 		if r.Observer != nil {
 			r.Observer.OnStart(i, len(specs), results[i].Key)
 		}
+		t := specs[i].Timeout
+		if t == 0 {
+			t = r.Timeout
+		}
+		budget += t
 	}
-	if t := r.Timeout; t > 0 {
-		// Members share one clock, so the group pools its per-job budgets.
+	if budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t*time.Duration(len(idxs)))
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
+	start := time.Now()
 	defer func() {
 		p := recover()
+		var stack []byte
+		if p != nil {
+			stack = debug.Stack()
+		}
+		// Wall holds each member's pipeline time so far; the rest of the
+		// job's time is shared equally.
+		other := time.Since(start)
+		for _, i := range idxs {
+			other -= results[i].Wall
+		}
+		share := other / time.Duration(len(idxs))
 		for _, i := range idxs {
 			res := &results[i]
-			if p != nil && res.Err == nil && res.Stats == nil {
-				// A panic aborts the whole group; members without a
-				// completed result share the failure.
-				res.Err = fmt.Errorf("batch panic: %v\n%s", p, debug.Stack())
+			if p != nil && res.Err == nil {
+				res.Err = fmt.Errorf("panic: %v\n%s", p, stack)
 			}
+			res.Wall += share
 			if res.Stats != nil && res.Wall > 0 {
-				res.MIPS = float64(res.Stats.Retired) / res.Wall.Seconds() / 1e6
+				// Multi-fidelity jobs report effective throughput: every
+				// program instruction retired (functionally or in detail)
+				// per wall second, which is the figure the mode exists to
+				// improve.
+				retired := res.Stats.Retired
+				if res.TotalRetired > 0 {
+					retired = res.TotalRetired
+				}
+				res.MIPS = float64(retired) / res.Wall.Seconds() / 1e6
 			}
 			if r.Observer != nil {
 				r.Observer.OnFinish(i, len(specs), *res)
@@ -374,16 +386,28 @@ func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results
 		}
 		c, pl := r.drawCore(s, prog, cfg)
 		results[i].EngineName = c.EngineName()
-		if r.OnInterval != nil {
-			hi, hk := i, results[i].Key
-			c.SetIntervalHook(func(iv *obs.Interval) { r.OnInterval(hi, hk, *iv) })
-		}
 		cores = append(cores, c)
 		members = append(members, i)
 		pools = append(pools, pl)
 	}
 	if len(cores) == 0 {
 		return
+	}
+	if s := &specs[members[0]]; s.FastForward > 0 {
+		// batchKey keeps fast-forwarded specs out of groups, so this job
+		// is the spec alone.
+		r.runFidelity(ctx, s, prog, cores[0], &results[members[0]])
+		cores[0].SetIntervalHook(nil)
+		if pools[0] != nil {
+			pools[0].Put(cores[0])
+		}
+		return
+	}
+	if r.OnInterval != nil {
+		for k, i := range members {
+			key := results[i].Key
+			cores[k].SetIntervalHook(func(iv *obs.Interval) { r.OnInterval(i, key, *iv) })
+		}
 	}
 	b, err := core.NewBatch(cores, 0)
 	if err != nil {
@@ -425,20 +449,17 @@ func (r *Runner) runBatch(ctx context.Context, specs []Spec, idxs []int, results
 // drawCore returns a core for s: a pooled one reset for prog when the
 // spec is poolable, else a new one, with the pool it goes back to (nil
 // when it must not). A core that panicked mid-run is never returned to
-// the pool (the callers' recovers exit before any Put).
+// the pool (runJob's recover exits before any Put).
 func (r *Runner) drawCore(s *Spec, prog *isa.Program, cfg core.Config) (*core.Core, *sync.Pool) {
-	var pl *sync.Pool
-	if !r.FreshCores {
-		if key := s.poolKey(); key != "" {
-			pl = r.pool(key)
-		}
+	key := s.poolKey()
+	if key == "" {
+		return core.New(prog, cfg), nil
 	}
-	if pl != nil {
-		if v := pl.Get(); v != nil {
-			c := v.(*core.Core)
-			c.Reset(prog)
-			return c, pl
-		}
+	pl := r.pool(key)
+	if v := pl.Get(); v != nil {
+		c := v.(*core.Core)
+		c.Reset(prog)
+		return c, pl
 	}
 	return core.New(prog, cfg), pl
 }
@@ -462,87 +483,6 @@ func verifyArch(res *Result, got emu.Result, ref func() (emu.Result, error)) {
 	default:
 		res.Arch = got
 	}
-}
-
-// runOne executes a single spec, converting panics into job errors.
-func (r *Runner) runOne(ctx context.Context, i int, s Spec) (res Result) {
-	res = Result{Index: i, Key: s.Key(), Spec: s}
-	start := time.Now()
-	defer func() {
-		if p := recover(); p != nil {
-			res.Err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
-		}
-		res.Wall = time.Since(start)
-		if res.Stats != nil && res.Wall > 0 {
-			// Multi-fidelity jobs report effective throughput: every
-			// program instruction retired (functionally or in detail) per
-			// wall second, which is the figure the mode exists to improve.
-			retired := res.Stats.Retired
-			if res.TotalRetired > 0 {
-				retired = res.TotalRetired
-			}
-			res.MIPS = float64(retired) / res.Wall.Seconds() / 1e6
-		}
-	}()
-
-	prog, err := s.BuildProgram()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Program = prog.Name
-	cfg, err := s.Config()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	if t := s.Timeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	} else if t := r.Timeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-
-	c, pl := r.drawCore(&s, prog, cfg)
-	// The result must not alias pooled-core state, which the next job
-	// resets: clone the stats, and read the architectural state before
-	// the core returns to the pool.
-	res.EngineName = c.EngineName()
-	if s.FastForward > 0 {
-		r.runFidelity(ctx, &s, prog, c, &res)
-		c.SetIntervalHook(nil)
-		if pl != nil {
-			pl.Put(c)
-		}
-		return res
-	}
-	if r.OnInterval != nil {
-		hi, hk := i, res.Key
-		c.SetIntervalHook(func(iv *obs.Interval) { r.OnInterval(hi, hk, *iv) })
-	}
-	runErr := c.RunContext(ctx)
-	c.SetIntervalHook(nil)
-	res.Stats = c.Stats.Clone()
-	res.Intervals = c.Intervals()
-	res.IntervalsDropped = c.IntervalsDropped()
-	var got emu.Result
-	if runErr == nil && s.VerifyArch {
-		got = c.Result()
-	}
-	if pl != nil {
-		pl.Put(c)
-	}
-	if runErr != nil {
-		res.Err = runErr
-		return res
-	}
-	if s.VerifyArch {
-		verifyArch(&res, got, reference(prog))
-	}
-	return res
 }
 
 // Run executes a single spec synchronously and returns its result. The

@@ -524,14 +524,13 @@ func (s *Spec) poolKey() string {
 
 // batchKey identifies which lockstep batch group the spec may join: all
 // specs with the same key run the same instruction stream (one built
-// program, one shared architectural replay, one VerifyArch reference)
-// and are free to differ in everything per-variant — engine, geometry,
-// load policy, sampling, tuning. ok=false marks the spec unbatchable:
-// traced specs carry per-run state, per-spec timeouts have no meaning
-// inside a group that shares a clock, and fast-forwarded specs do not
-// retire the program from its entry (the lockstep batch shares one
-// from-the-start architectural replay stream), so they always run as
-// singletons through the sequential path even with Batching enabled.
+// program, one VerifyArch reference) and are free to differ in
+// everything per-variant — engine, geometry, load policy, checking,
+// sampling, tuning. ok=false marks the spec unbatchable: traced specs
+// carry per-run state, a per-spec timeout has no meaning inside a group
+// that shares a clock, and fast-forwarded specs run sample windows
+// rather than the program from its entry, so each of these is a job of
+// its own even with Batching enabled.
 func (s *Spec) batchKey() (string, bool) {
 	if s.Tracer != nil || s.Timeout != 0 || s.FastForward > 0 {
 		return "", false
