@@ -220,7 +220,7 @@ func render(r renderer, err error) (string, error) {
 // followEvents tails the remote service's live event bus on stderr for
 // the life of the process: one compact line per lifecycle event
 // (interval frames are summarized per window, not printed). Best
-// effort — a daemon predating /v1/ws just logs one notice.
+// effort — a daemon without /v1/events just logs one notice.
 func followEvents(addr string) {
 	cl := client.New(addr)
 	err := cl.Events(context.Background(), "", func(ev events.Event) error {

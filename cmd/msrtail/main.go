@@ -1,6 +1,6 @@
 // Command msrtail is a headless subscriber for the live event bus: it
-// dials an msrd daemon's or msrfleet coordinator's /v1/ws endpoint,
-// writes every frame as one NDJSON line (deterministic bus encoding),
+// reads an msrd daemon's or msrfleet coordinator's /v1/events stream,
+// writes every event as one NDJSON line (deterministic bus encoding),
 // and optionally asserts per-job lifecycle ordering — the harness
 // scripts use it to capture and validate the event stream of a sweep
 // without a browser.

@@ -57,7 +57,9 @@ func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duratio
 		log.Printf("%s: dashboard enabled at /dashboard", name)
 	}
 	httpSrv := &http.Server{Addr: addr, Handler: h}
+	stopped := make(chan struct{})
 	go func() {
+		defer close(stopped)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
@@ -67,9 +69,14 @@ func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duratio
 		if err := shutdown(ctx); err != nil {
 			log.Printf("%s: drain deadline hit, running simulations cancelled: %v", name, err)
 		}
-		_ = httpSrv.Shutdown(context.Background())
+		// Responses still open, such as event streams ending after the
+		// drain, finish within what is left of the deadline.
+		_ = httpSrv.Shutdown(ctx)
 	}()
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("%s: %v", name, err)
 	}
+	// ListenAndServe returns as soon as Shutdown closes the listener;
+	// wait for Shutdown itself, or open responses are cut off at exit.
+	<-stopped
 }

@@ -1,11 +1,12 @@
 // Package client is the typed Go client for the msrd simulation daemon
-// (internal/server). Client covers the raw /v1 API — submit, poll,
-// stream — and Remote adapts it to the sim.Backend interface so the
-// experiment drivers run against a daemon unchanged.
+// (internal/server). Client covers the raw /v1 API — submit, status and
+// the NDJSON streams — and Remote adapts it to the sim.Backend
+// interface so the experiment drivers run against a daemon unchanged.
 package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -28,8 +29,6 @@ type Client struct {
 	// honouring the server's Retry-After each time (default 5; negative
 	// disables retrying).
 	SubmitRetries int
-	// PollInterval paces Wait's status polls (default 50ms).
-	PollInterval time.Duration
 }
 
 // New returns a client for the daemon at baseURL. A bare "host:port" is
@@ -147,63 +146,33 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 	return &out, nil
 }
 
-// Wait polls until the job is done and returns its final status.
+// Wait follows the job's completion stream to its end and returns the
+// job's final status. The daemon ends the stream exactly when the job is
+// done, so a stream that ends while the job still runs is an error.
 func (c *Client) Wait(ctx context.Context, id string) (*api.JobStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
+	return c.follow(ctx, id, func(api.Result) error { return nil })
+}
+
+// follow is Wait with fn called for every completion on the way.
+func (c *Client) follow(ctx context.Context, id string, fn func(api.Result) error) (*api.JobStatus, error) {
+	if err := c.Stream(ctx, id, fn); err != nil {
+		return nil, err
 	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.State == api.StateDone {
-			return st, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	st, err := c.Job(ctx, id)
+	if err != nil {
+		return nil, err
 	}
+	if st.State != api.StateDone {
+		return nil, fmt.Errorf("client: job %s: completion stream ended while the job was %s", id, st.State)
+	}
+	return st, nil
 }
 
 // Stream consumes the job's NDJSON completion stream, calling fn for
 // every per-simulation result in completion order. It returns when the
 // stream ends (job done) or fn returns an error.
 func (c *Client) Stream(ctx context.Context, id string, fn func(api.Result) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return fmt.Errorf("client: stream: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: stream: %s: %s", resp.Status, apiError(resp))
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r api.Result
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return fmt.Errorf("client: decoding stream record: %w", err)
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: stream: %w", err)
-	}
-	return nil
+	return getNDJSON(ctx, c, "/v1/jobs/"+id+"/stream", fn)
 }
 
 // Intervals consumes the job's NDJSON interval-telemetry stream
@@ -211,35 +180,42 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(api.Result) erro
 // every completed sampled result, in completion order. Like Stream, it
 // returns when the job is done or fn returns an error.
 func (c *Client) Intervals(ctx context.Context, id string, fn func(api.IntervalRecord) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/intervals", nil)
+	return getNDJSON(ctx, c, "/v1/jobs/"+id+"/intervals", fn)
+}
+
+// getNDJSON reads the NDJSON response to GET path, decoding each line
+// into a T and calling fn in arrival order. It returns nil when the
+// server ends the stream, and fn's error as it is.
+func getNDJSON[T any](ctx context.Context, c *Client, path string, fn func(T) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return fmt.Errorf("client: intervals: %w", err)
+		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: intervals: %s: %s", resp.Status, apiError(resp))
+		return fmt.Errorf("client: %s: %s: %s", path, resp.Status, apiError(resp))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var rec api.IntervalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return fmt.Errorf("client: decoding interval record: %w", err)
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
+			return fmt.Errorf("client: decoding %s record: %w", path, err)
 		}
-		if err := fn(rec); err != nil {
+		if err := fn(v); err != nil {
 			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: intervals: %w", err)
+		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	return nil
 }

@@ -146,29 +146,50 @@ func TestRetryAfterPrefersBodyPrecision(t *testing.T) {
 	}
 }
 
-func TestWaitPollsUntilDone(t *testing.T) {
-	var polls atomic.Int64
+// TestWaitFollowsStream: Wait reads the completion stream to its end,
+// then fetches the job's status once. A stream that ends while the job
+// still runs is an error, not a cue to poll.
+func TestWaitFollowsStream(t *testing.T) {
+	var statuses atomic.Int64
+	var state atomic.Value // the State the status endpoint reports
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: "j1", State: api.StateRunning, Total: 1}
-		if polls.Add(1) >= 3 {
-			st.State = api.StateDone
-			st.Done = 1
-			st.Results = []api.Result{{Index: 0, Key: "bfs/none", Source: api.SourceRun}}
+		res := api.Result{Index: 0, Key: "bfs/none", Source: api.SourceRun}
+		switch r.URL.Path {
+		case "/v1/jobs/j1/stream":
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = json.NewEncoder(w).Encode(res)
+		case "/v1/jobs/j1":
+			statuses.Add(1)
+			st := api.JobStatus{ID: "j1", State: state.Load().(string), Total: 1}
+			if st.State == api.StateDone {
+				st.Done, st.Results = 1, []api.Result{res}
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(st)
+		default:
+			http.NotFound(w, r)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(st)
 	}))
 	t.Cleanup(ts.Close)
 	c := New(ts.URL)
-	c.PollInterval = time.Millisecond
+
+	state.Store(api.StateDone)
 	st, err := c.Wait(context.Background(), "j1")
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	if st.State != api.StateDone || len(st.Results) != 1 {
-		t.Errorf("Wait returned %+v before the job was done", st)
+		t.Errorf("Wait returned %+v, want the done status", st)
 	}
-	if got := polls.Load(); got < 3 {
-		t.Errorf("Wait polled %d times, want >= 3", got)
+	if got := statuses.Load(); got != 1 {
+		t.Errorf("Wait fetched the status %d times, want once", got)
+	}
+
+	state.Store(api.StateRunning)
+	if st, err := c.Wait(context.Background(), "j1"); err == nil {
+		t.Errorf("Wait returned %+v after the stream ended with the job running, want an error", st)
+	}
+	if got := statuses.Load(); got != 2 {
+		t.Errorf("Wait fetched the status %d times in all, want 2", got)
 	}
 }

@@ -2,10 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/url"
 
 	"mssr/internal/events"
@@ -16,56 +13,24 @@ import (
 var ErrStopEvents = errors.New("client: stop event stream")
 
 // Events subscribes to the daemon's (or fleet coordinator's) live event
-// bus over WebSocket (GET /v1/ws), decoding each frame and calling fn in
-// arrival order. jobID filters the stream to one job ("" = firehose:
-// every event the service publishes). It returns nil when the server
-// closes the stream or fn returns ErrStopEvents, ctx.Err() on
-// cancellation, and fn's error otherwise. Gaps in Event.Seq mean the
-// server dropped frames rather than stall the publisher — consumers
-// needing a complete record should use Stream/Intervals, which replay.
+// bus (GET /v1/events, one NDJSON line per event), calling fn in arrival
+// order. jobID filters the stream to one job ("" = firehose: every event
+// the service publishes). It returns nil when the server ends the stream
+// or fn returns ErrStopEvents, ctx.Err() on cancellation, and fn's error
+// otherwise. Gaps in Event.Seq mean the server dropped frames rather
+// than stall the publisher — consumers needing a complete record should
+// use Stream/Intervals, which replay.
 func (c *Client) Events(ctx context.Context, jobID string, fn func(events.Event) error) error {
-	target := c.BaseURL + "/v1/ws"
+	path := "/v1/events"
 	if jobID != "" {
-		target += "?job=" + url.QueryEscape(jobID)
+		path += "?job=" + url.QueryEscape(jobID)
 	}
-	conn, err := events.Dial(ctx, target)
-	if err != nil {
-		return fmt.Errorf("client: events: %w", err)
+	err := getNDJSON(ctx, c, path, fn)
+	switch {
+	case errors.Is(err, ErrStopEvents):
+		return nil
+	case err != nil && ctx.Err() != nil:
+		return ctx.Err()
 	}
-	defer conn.Close()
-
-	// ReadMessage cannot watch a context; cancellation closes the
-	// connection out from under it.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-
-	for {
-		msg, err := conn.ReadMessage()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, io.EOF) {
-				return nil // clean close from the server
-			}
-			return fmt.Errorf("client: events: %w", err)
-		}
-		var ev events.Event
-		if err := json.Unmarshal(msg, &ev); err != nil {
-			return fmt.Errorf("client: decoding event frame: %w", err)
-		}
-		if err := fn(ev); err != nil {
-			if errors.Is(err, ErrStopEvents) {
-				return nil
-			}
-			return err
-		}
-	}
+	return err
 }

@@ -58,21 +58,13 @@ func (r *Remote) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error
 		return nil, err
 	}
 
-	if r.Observer != nil {
-		streamErr := r.Client.Stream(ctx, sub.JobID, func(e api.Result) error {
-			sr := e.Sim()
+	st, err := r.Client.follow(ctx, sub.JobID, func(e api.Result) error {
+		if r.Observer != nil {
 			r.Observer.OnStart(e.Index, len(specs), e.Key)
-			r.Observer.OnFinish(e.Index, len(specs), sr)
-			return nil
-		})
-		if streamErr != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
+			r.Observer.OnFinish(e.Index, len(specs), e.Sim())
 		}
-		// A broken stream is not fatal: the final status below is the
-		// authoritative result set.
-	}
-
-	st, err := r.Client.Wait(ctx, sub.JobID)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

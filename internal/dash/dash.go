@@ -1,6 +1,6 @@
 // Package dash serves the embedded live-telemetry dashboard: one
-// dependency-free HTML page that subscribes to the /v1/ws event
-// firehose and renders job lifecycle, per-spec sparklines (IPC, reuse
+// dependency-free HTML page that reads the /v1/events NDJSON firehose
+// and renders job lifecycle, per-spec sparklines (IPC, reuse
 // rate, MPKI) and — against a fleet coordinator — the worker ring with
 // health and queue depths. The same page works against a single msrd
 // daemon (the ring section hides itself when /fleet/v1/workers 404s)

@@ -3,11 +3,11 @@
 // lifecycle events (queued → dispatched → running → window k/N →
 // done/failed) and interval telemetry frames (obs.Interval records as
 // the sampler produces them, including multi-fidelity Mode/Window
-// annotations). The daemon (/v1/ws) and the fleet coordinator multiplex
-// subscriptions over a hand-rolled RFC 6455 WebSocket transport; slow
-// consumers lose frames (counted) rather than ever blocking a
-// publisher, which is what keeps the cycle loop's zero-allocation
-// discipline intact with a hub attached.
+// annotations). The daemon and the fleet coordinator stream it to
+// subscribers as NDJSON over plain HTTP (GET /v1/events), one
+// Event.AppendJSON line per event; slow consumers lose frames (counted)
+// rather than ever blocking a publisher, which is what keeps the cycle
+// loop's zero-allocation discipline intact with a hub attached.
 package events
 
 import (

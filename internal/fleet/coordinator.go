@@ -2,7 +2,7 @@
 // (internal/server) whose backend is a ring of msrd worker daemons
 // instead of an in-process simulator. The coordinator therefore speaks
 // the /v1 API a single daemon does through the server's own handlers —
-// one job book, one result cache, in-flight dedup, /v1/ws, the live
+// one job book, one result cache, in-flight dedup, /v1/events, the live
 // /intervals stream, /healthz and /readyz — so every existing client
 // (internal/client, msrbench -remote) points at a fleet unchanged, and
 // a repeated spec is answered at the coordinator without a worker hop.
@@ -31,8 +31,8 @@
 //     dispatch, so a miss never waits out another simulation while a
 //     worker idles;
 //   - the worker event relay: telemetry frames from every worker's
-//     /v1/ws are re-labelled with the owning coordinator job and
-//     worker="addr" and published on the server's bus;
+//     /v1/events stream are re-labelled with the owning coordinator job
+//     and worker="addr" and published on the server's bus;
 //   - fleet observability: /metrics unions the coordinator server's
 //     series (under the msrfleet_ prefix), the ring's own msrfleet_*
 //     series and every worker's exposition with a worker="addr" label.
@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"mssr/internal/api"
-	"mssr/internal/client"
 	"mssr/internal/events"
 	"mssr/internal/server"
 )
@@ -77,9 +76,6 @@ type Config struct {
 	// Logger receives the coordinator's structured logs, its server's
 	// included; nil discards.
 	Logger *slog.Logger
-	// NewClient overrides worker client construction (tests inject
-	// fast-polling clients).
-	NewClient func(addr string) *client.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -100,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-	}
-	if c.NewClient == nil {
-		c.NewClient = func(addr string) *client.Client { return client.New(addr) }
 	}
 	return c
 }

@@ -206,7 +206,7 @@ func (j *fleetJob) finish(i int, r api.Result) {
 // canonicalizes it ("host:port" -> "http://host:port"), so one worker
 // announced two ways cannot join twice.
 func (d *dispatcher) addWorker(addr string) error {
-	cl := d.cfg.NewClient(addr)
+	cl := client.New(addr)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -587,9 +587,10 @@ func (d *dispatcher) markDown(w *worker, reason string) {
 // ---------------------------------------------------------------- relay ---
 
 // relayLoop keeps one worker's event relay attached: it subscribes to
-// the worker's /v1/ws firehose and pumps its telemetry into the server's
-// bus, reconnecting with bounded backoff — a worker without the endpoint
-// (or down) costs one cheap dial per backoff and nothing else.
+// the worker's /v1/events firehose and pumps its telemetry into the
+// server's bus, reconnecting with bounded backoff — a worker without the
+// endpoint (or down) costs one cheap request per backoff and nothing
+// else.
 func (d *dispatcher) relayLoop(w *worker) {
 	defer d.wg.Done()
 	backoff := relayBackoff

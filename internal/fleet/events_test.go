@@ -33,7 +33,7 @@ func newWorkerWithServer(t *testing.T, cfg server.Config) (string, *server.Serve
 }
 
 // TestFleetEventsLifecycle runs the acceptance sweep through a 2-worker
-// fleet while a typed WebSocket subscriber watches the coordinator's
+// fleet while a typed event subscriber watches the coordinator's
 // event bus, and asserts the per-job stream is ordered
 // (queued → start → dispatched → … → spec_done ×N → done), every
 // dispatch carries a real worker address, every completion follows its
@@ -173,7 +173,6 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 	addr, tsW := newWorker(t, server.Config{Backend: fixed{gate}})
 	cfg := fleet.Config{
 		Workers:        []string{addr},
-		NewClient:      fastClient,
 		HealthInterval: 20 * time.Millisecond,
 		RetryBackoff:   5 * time.Millisecond,
 	}
@@ -185,7 +184,7 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 		_ = co.Shutdown(ctx)
 		ts.Close()
 	})
-	fc := fastClient(ts.URL)
+	fc := client.New(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -229,7 +228,7 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker never started the gated sweep")
 	}
-	noRetry := fastClient(ts.URL)
+	noRetry := client.New(ts.URL)
 	noRetry.SubmitRetries = -1
 	code, m := readyz()
 	for i := 0; m["status"] != "saturated" && i < 1000; i++ {
@@ -287,7 +286,7 @@ func TestFleetReadyAndObservabilityMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(mtx, "msrfleet_ws_connections") || !strings.Contains(mtx, "msrfleet_ws_dropped_total") {
+	if !strings.Contains(mtx, "msrfleet_stream_connections") || !strings.Contains(mtx, "msrfleet_events_dropped_total") {
 		t.Error("metrics lack the event-bus series")
 	}
 

@@ -100,12 +100,6 @@ func (b *stubBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, 
 	return out, nil
 }
 
-func fastClient(addr string) *client.Client {
-	c := client.New(addr)
-	c.PollInterval = 2 * time.Millisecond
-	return c
-}
-
 // newWorker spins up one msrd daemon over loopback and returns its addr.
 // The daemon is shut down at cleanup.
 func newWorker(t *testing.T, cfg server.Config) (string, *httptest.Server) {
@@ -124,9 +118,6 @@ func newWorker(t *testing.T, cfg server.Config) (string, *httptest.Server) {
 // newFleet spins up a coordinator over loopback.
 func newFleet(t *testing.T, cfg fleet.Config) (*fleet.Coordinator, *client.Client) {
 	t.Helper()
-	if cfg.NewClient == nil {
-		cfg.NewClient = fastClient
-	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 20 * time.Millisecond
 	}
@@ -141,7 +132,7 @@ func newFleet(t *testing.T, cfg fleet.Config) (*fleet.Coordinator, *client.Clien
 		_ = co.Shutdown(ctx)
 		ts.Close()
 	})
-	return co, fastClient(ts.URL)
+	return co, client.New(ts.URL)
 }
 
 // runSweep submits specs and waits for the final status.
@@ -192,7 +183,7 @@ func assertByteIdentical(t *testing.T, baseline, got []api.Result) {
 func singleNodeBaseline(t *testing.T, specs []api.Spec) []api.Result {
 	t.Helper()
 	addr, _ := newWorker(t, server.Config{})
-	st := runSweep(t, fastClient(addr), specs)
+	st := runSweep(t, client.New(addr), specs)
 	for i, r := range st.Results {
 		if r.Error != "" {
 			t.Fatalf("baseline result %d errored: %s", i, r.Error)
@@ -476,7 +467,7 @@ func newStalledWorker(t *testing.T) string {
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-		w.(http.Flusher).Flush()
+		_ = http.NewResponseController(w).Flush()
 		stalled.Store(true)
 		<-r.Context().Done()
 	})

@@ -30,10 +30,9 @@ type metrics struct {
 	simCycles   atomic.Uint64 // cumulative simulated cycles
 	simRetired  atomic.Uint64 // cumulative retired instructions
 	simWallNS   atomic.Int64  // cumulative simulation wall time
-	streamConns atomic.Int64  // gauge: open NDJSON streams
+	streamConns atomic.Int64  // gauge: open NDJSON streams (/stream, /intervals, /v1/events)
 
-	streamErrors atomic.Uint64 // NDJSON stream records lost to encode/write failures
-	wsConns      atomic.Int64  // gauge: open /v1/ws event subscriptions
+	streamErrors atomic.Uint64 // NDJSON streams ended by an encode or write failure
 
 	// Memory hierarchy totals, mirrored from executed simulations' stats.
 	l1dHits      atomic.Uint64
@@ -60,10 +59,10 @@ func (m *metrics) init() {
 }
 
 // write renders every metric, each name under prefix. queueDepth,
-// cacheLen, wsDropped and uptimeSec are sampled by the caller (they are
+// cacheLen, eventsDropped and uptimeSec are sampled by the caller (they are
 // gauges owned by other structures); rs and cs are the server's result
 // and checkpoint stores, and a nil one leaves its series out.
-func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs *store.Store, cs *ckpt.Store, wsDropped uint64, uptimeSec float64) {
+func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs *store.Store, cs *ckpt.Store, eventsDropped uint64, uptimeSec float64) {
 	emit := func(name, help, typ string, value interface{}) {
 		name = prefix + name
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, value)
@@ -121,10 +120,9 @@ func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs
 	}
 	emit("sim_mips", "Aggregate simulated throughput: retired instructions per simulation wall second, in millions.", "gauge",
 		fmt.Sprintf("%.6f", mips))
-	emit("stream_connections", "Open NDJSON result streams.", "gauge", m.streamConns.Load())
-	emit("stream_errors_total", "NDJSON stream records or WebSocket subscribers lost to write failures or stalls.", "counter", m.streamErrors.Load())
-	emit("ws_connections", "Open /v1/ws live-event subscriptions.", "gauge", m.wsConns.Load())
-	emit("ws_dropped_total", "Live event frames dropped on full subscriber buffers.", "counter", wsDropped)
+	emit("stream_connections", "Open NDJSON streams: job completions, interval telemetry and live events.", "gauge", m.streamConns.Load())
+	emit("stream_errors_total", "NDJSON streams ended by an encode or write failure, a reader stalled past the write deadline included.", "counter", m.streamErrors.Load())
+	emit("events_dropped_total", "Live event frames dropped on full subscriber buffers.", "counter", eventsDropped)
 	emit("sim_l1d_hits_total", "Cumulative L1D cache hits across executed simulations.", "counter", m.l1dHits.Load())
 	emit("sim_l1d_misses_total", "Cumulative L1D cache misses across executed simulations.", "counter", m.l1dMisses.Load())
 	emit("sim_l1d_evictions_total", "Cumulative L1D cache evictions across executed simulations.", "counter", m.l1dEvictions.Load())

@@ -86,7 +86,7 @@ func (b *blockingBackend) waitStarted(t *testing.T) {
 }
 
 // newTestDaemon serves cfg over a loopback httptest server and returns a
-// fast-polling client for it.
+// client for it.
 func newTestDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, *client.Client) {
 	t.Helper()
 	srv := server.New(cfg)
@@ -98,7 +98,6 @@ func newTestDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 		_ = srv.Shutdown(ctx)
 	})
 	c := client.New(ts.URL)
-	c.PollInterval = 2 * time.Millisecond
 	return srv, ts, c
 }
 
@@ -505,7 +504,6 @@ func TestCachedJobSkipsTheQueue(t *testing.T) {
 
 	noRetry := client.New(c.BaseURL)
 	noRetry.SubmitRetries = -1
-	noRetry.PollInterval = 2 * time.Millisecond
 	hitCtx, hitCancel := context.WithTimeout(ctx, 10*time.Second)
 	defer hitCancel()
 	st, err := noRetry.Wait(hitCtx, submit(noRetry, 8))
@@ -760,7 +758,6 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	var finishes int
 	obs := observerFunc(func() { finishes++ })
 	rc := client.New(ts.URL)
-	rc.PollInterval = 2 * time.Millisecond
 	remote := &client.Remote{Client: rc, Observer: obs}
 	got, err := remote.Run(context.Background(), []sim.Spec{spec})
 	if err != nil {

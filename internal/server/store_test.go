@@ -36,7 +36,6 @@ func newDaemonOver(t *testing.T, srv *server.Server) *client.Client {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL)
-	c.PollInterval = 2 * time.Millisecond
 	return c
 }
 

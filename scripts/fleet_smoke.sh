@@ -63,7 +63,7 @@ subscriber_attached() {
   # No -q: grep must read to the end. The coordinator streams its own
   # series before its workers', so a grep that quit at the match would
   # close the pipe under curl, and pipefail would fail the check.
-  curl -fsS "http://$COORD/metrics" | grep '^msrfleet_ws_connections [1-9]'
+  curl -fsS "http://$COORD/metrics" | grep '^msrfleet_stream_connections [1-9]'
 }
 wait_until 30 subscriber_attached
 
