@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"mssr/internal/api"
+	"mssr/internal/obs"
 	"mssr/internal/server"
+	"mssr/internal/sim"
+	"mssr/internal/stats"
 )
 
 // sampledSpecs is microSpecs with interval telemetry attached.
@@ -240,5 +243,72 @@ func TestStreamEncodeFailuresCounted(t *testing.T) {
 	}
 	if got := metricValue(t, m, "msrd_stream_errors_total"); got != 2 {
 		t.Errorf("msrd_stream_errors_total = %v, want 2 (one per endpoint)", got)
+	}
+}
+
+// hooked is a test Backend that hands each job's hooks to its function,
+// so the function can publish live telemetry as a sim.Runner does.
+type hooked func(h server.JobHooks, ctx context.Context, specs []sim.Spec) ([]sim.Result, error)
+
+func (f hooked) Job(h server.JobHooks) sim.Backend {
+	return backendFunc(func(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+		return f(h, ctx, specs)
+	})
+}
+
+func (hooked) Ready() error { return nil }
+
+// TestIntervalsEndAfterIdle: an /intervals stream whose last write came
+// longer than StreamWriteTimeout before the job finished still ends
+// cleanly. Here every record arrives live, so the completion adds none
+// and the handler returns without writing; net/http's closing chunk
+// must not fall under the last write's deadline.
+func TestIntervalsEndAfterIdle(t *testing.T) {
+	gate := make(chan struct{})
+	backend := hooked(func(h server.JobHooks, ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		iv := obs.Interval{Start: 0, End: 64, Retired: 48}
+		out := make([]sim.Result, len(specs))
+		for i, sp := range specs {
+			h.OnInterval(i, sp.Key(), iv)
+			out[i] = sim.Result{
+				Index:     i,
+				Key:       sp.Key(),
+				Spec:      sp,
+				Stats:     &stats.Stats{Cycles: 64, Retired: 48},
+				Wall:      time.Millisecond,
+				Intervals: []obs.Interval{iv},
+			}
+		}
+		time.Sleep(100 * time.Millisecond) // idle past the write timeout
+		return out, nil
+	})
+	srv, _, c := newTestDaemon(t, server.Config{Backend: backend, StreamWriteTimeout: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sub, err := c.Submit(ctx, sampledSpecs()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var recs []api.IntervalRecord
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- c.Intervals(ctx, sub.JobID, func(rec api.IntervalRecord) error {
+			recs = append(recs, rec)
+			return nil
+		})
+	}()
+	waitSubscribers(t, srv, 1)
+	close(gate)
+	if err := <-errCh; err != nil {
+		t.Fatalf("Intervals = %v, want nil", err)
+	}
+	if len(recs) != 1 || recs[0].Source != api.SourceRun {
+		t.Errorf("got %d records (%+v), want the one live record", len(recs), recs)
 	}
 }
