@@ -2,7 +2,7 @@
 // map from string keys to immutable byte blobs, held in a bounded
 // in-memory LRU over an optional disk tier. It stores three kinds of
 // blob, each under its own key space: serialized architectural states
-// (emu.Emulator.AppendBinary, which records only the memory pages that
+// (emu.Emulator.AppendBinary, which records only the memory words that
 // differ from the program's load image) keyed by a spec's
 // sim.Spec.CheckpointKey plus a position suffix, the JSON phase profiles
 // of sim's phase selection, and msrd's completed wire results, which
@@ -49,7 +49,7 @@ import (
 // and sim.Runner create for themselves and of msrd -ckpt: enough for the
 // checkpoint sets of several standard-scale sweeps. The benchmark's
 // phase-selected sweep of the 11 SPEC-like programs at scale 1 leaves
-// 1,055 entries in 16.0 MB.
+// 1,055 entries in 5.1 MB.
 const DefaultMemBytes = 256 << 20
 
 const (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,6 +50,21 @@ func BuildLogger(level, format string) (*slog.Logger, error) {
 // closes; it returns once it has. dashboard mounts the live dashboard
 // at /dashboard in front of h.
 func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duration, shutdown func(context.Context) error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, ln, name, h, dashboard, drain, shutdown); err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+}
+
+// serve is Serve on a listener it takes over, until ctx ends. It returns
+// once shutdown has run and every open response has finished, or at
+// once with the error that stopped the listener.
+func serve(ctx context.Context, ln net.Listener, name string, h http.Handler, dashboard bool, drain time.Duration, shutdown func(context.Context) error) error {
 	if dashboard {
 		mux := http.NewServeMux()
 		mux.Handle("/dashboard", dash.Handler())
@@ -56,13 +72,11 @@ func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duratio
 		h = mux
 		log.Printf("%s: dashboard enabled at /dashboard", name)
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: h}
+	httpSrv := &http.Server{Handler: h}
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
+		<-ctx.Done()
 		log.Printf("%s: draining (deadline %s)", name, drain)
 		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
@@ -73,10 +87,11 @@ func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duratio
 		// drain, finish within what is left of the deadline.
 		_ = httpSrv.Shutdown(ctx)
 	}()
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("%s: %v", name, err)
+	if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
+		return err
 	}
-	// ListenAndServe returns as soon as Shutdown closes the listener;
-	// wait for Shutdown itself, or open responses are cut off at exit.
+	// Serve returns as soon as Shutdown closes the listener; wait for
+	// Shutdown itself, or open responses are cut off at exit.
 	<-stopped
+	return nil
 }

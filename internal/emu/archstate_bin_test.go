@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -62,20 +64,28 @@ func TestArchStateBinaryRoundTrip(t *testing.T) {
 }
 
 // TestAppendBinaryRecordsChangedPages pins what a checkpoint records:
-// the pages whose words differ from the program's load image, an image
-// page zeroed since load as an all-zero record, and nothing else.
+// the pages whose words differ from the program's load image, each as a
+// record of only the words that differ (72 bytes plus 8 per word), an
+// image word zeroed since load as a masked zero, and nothing else.
 func TestAppendBinaryRecordsChangedPages(t *testing.T) {
 	p := imaged()
+	every := make([]Word, pageWords) // every word of page 0x30
+	for i := range every {
+		every[i] = Word{0x30000 + 8*uint64(i), uint64(i) + 1}
+	}
 	for name, c := range map[string]struct {
 		writes []Word
 		pages  []uint64
+		bytes  int // of the page records
 	}{
-		"not run":               {nil, nil},
-		"one data word written": {[]Word{{0x1ff8, 70}}, []uint64{0x1}},
-		"image word rewritten":  {[]Word{{0x9000, 1}, {0x9000, 9}}, nil},
-		"image page zeroed":     {[]Word{{0x2000, 0}}, []uint64{0x2}},
-		"page outside image":    {[]Word{{0x20000, 5}}, []uint64{0x20}},
-		"page zeroed again":     {[]Word{{0x20000, 5}, {0x20000, 0}}, nil},
+		"not run":               {nil, nil, 0},
+		"one data word written": {[]Word{{0x1ff8, 70}}, []uint64{0x1}, 80},
+		"image word rewritten":  {[]Word{{0x9000, 1}, {0x9000, 9}}, nil, 0},
+		"image page zeroed":     {[]Word{{0x2000, 0}}, []uint64{0x2}, 80},
+		"page outside image":    {[]Word{{0x20000, 5}}, []uint64{0x20}, 80},
+		"page zeroed again":     {[]Word{{0x20000, 5}, {0x20000, 0}}, nil, 0},
+		"two words, two pages":  {[]Word{{0x1000, 1}, {0x9ff8, 2}}, []uint64{0x1, 0x9}, 160},
+		"every word of a page":  {every, []uint64{0x30}, 4168},
 	} {
 		e := New(p)
 		for _, w := range c.writes {
@@ -85,8 +95,11 @@ func TestAppendBinaryRecordsChangedPages(t *testing.T) {
 		if got := records(enc); !slices.Equal(got, c.pages) {
 			t.Errorf("%s: records pages %#x, want %#x", name, got, c.pages)
 		}
-		if len(enc) != stateHeaderBytes+len(c.pages)*statePageBytes+stateSumBytes {
-			t.Errorf("%s: %d bytes encode %d pages", name, len(enc), len(c.pages))
+		if len(enc) != stateHeaderBytes+c.bytes+stateSumBytes {
+			t.Errorf("%s: %d bytes hold %d bytes of records, want %d", name, len(enc), len(enc)-stateHeaderBytes-stateSumBytes, c.bytes)
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: a fresh encoding has capacity %d for %d bytes", name, cap(enc), len(enc))
 		}
 		dst := New(p)
 		dst.FastForward(1, nil)
@@ -101,9 +114,9 @@ func TestAppendBinaryRecordsChangedPages(t *testing.T) {
 	}
 	e := New(p)
 	e.Mem.Write(0x2000, 0)
-	enc := e.AppendBinary(nil)
-	if rec := enc[pageAt(0)+8 : pageAt(1)]; !bytes.Equal(rec, make([]byte, PageBytes)) {
-		t.Error("a zeroed image page is not an all-zero record")
+	_, recs := decode(e.AppendBinary(nil))
+	if want := (pageRecord{pn: 0x2, mask: [maskWords]uint64{1}, words: []uint64{0}}); !reflect.DeepEqual(recs, []pageRecord{want}) {
+		t.Errorf("a zeroed image word records %+v, want %+v", recs, want)
 	}
 }
 
@@ -129,6 +142,7 @@ func TestArchStateBinaryRejectsCorruption(t *testing.T) {
 	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b })
 	mutate("unknown version", func(b []byte) []byte { b[4] = 99; return b })
 	mutate("version 1", func(b []byte) []byte { b[4] = 1; return b })
+	mutate("version 2", func(b []byte) []byte { b[4] = 2; return b })
 	mutate("flipped register bit", func(b []byte) []byte { b[40] ^= 1; return b })
 	mutate("flipped page word", func(b []byte) []byte { b[len(b)-20] ^= 1; return b })
 	mutate("flipped checksum", func(b []byte) []byte { b[len(b)-1] ^= 1; return b })
@@ -197,11 +211,84 @@ func imaged() *isa.Program {
 	return asm.MustAssemble("imaged", ".data 0x1ff8 7 8\n.data 0x9000 9\nhalt")
 }
 
+// pageRecord is one page record of an encoding: its page number, its
+// changed-word mask and the words that follow the mask.
+type pageRecord struct {
+	pn    uint64
+	mask  [maskWords]uint64
+	words []uint64
+}
+
+// set makes r record val for the word at addr, adding the word to the
+// mask if r does not name it yet.
+func (r *pageRecord) set(addr, val uint64) {
+	i := addr >> 3 & pageMask
+	bit := uint64(1) << (i & 63)
+	k := 0 // words named below i
+	for j := range i >> 6 {
+		k += bits.OnesCount64(r.mask[j])
+	}
+	k += bits.OnesCount64(r.mask[i>>6] & (bit - 1))
+	if r.mask[i>>6]&bit == 0 {
+		r.mask[i>>6] |= bit
+		r.words = slices.Insert(r.words, k, 0)
+	}
+	r.words[k] = val
+}
+
+// cloned is a deep copy of recs.
+func cloned(recs []pageRecord) []pageRecord {
+	r := slices.Clone(recs)
+	for i := range r {
+		r[i].words = slices.Clone(r[i].words)
+	}
+	return r
+}
+
+// decode splits a well-formed encoding into its header (page count
+// included) and its page records.
+func decode(enc []byte) (hdr []byte, recs []pageRecord) {
+	off := stateHeaderBytes
+	for off < len(enc)-stateSumBytes {
+		r := pageRecord{pn: binary.LittleEndian.Uint64(enc[off:])}
+		for j := range r.mask {
+			r.mask[j] = binary.LittleEndian.Uint64(enc[off+8+8*j:])
+		}
+		n := maskCount(enc[off+8:])
+		off += stateRecordBytes
+		for range n {
+			r.words = append(r.words, binary.LittleEndian.Uint64(enc[off:]))
+			off += 8
+		}
+		recs = append(recs, r)
+	}
+	return enc[:stateHeaderBytes], recs
+}
+
+// encode writes hdr with its page count set to npages, then recs as
+// given, and seals the result: decode's inverse when npages is
+// len(recs), and a way to craft any record list otherwise.
+func encode(hdr []byte, npages uint64, recs ...pageRecord) []byte {
+	b := append([]byte(nil), hdr...)
+	binary.LittleEndian.PutUint64(b[stateHeaderBytes-8:], npages)
+	for _, r := range recs {
+		b = binary.LittleEndian.AppendUint64(b, r.pn)
+		for _, m := range r.mask {
+			b = binary.LittleEndian.AppendUint64(b, m)
+		}
+		for _, w := range r.words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	return seal(append(b, make([]byte, stateSumBytes)...))
+}
+
 // records lists the page numbers an encoding records.
 func records(enc []byte) []uint64 {
 	var pns []uint64
-	for off := stateHeaderBytes; off+statePageBytes <= len(enc)-stateSumBytes; off += statePageBytes {
-		pns = append(pns, binary.LittleEndian.Uint64(enc[off:]))
+	_, recs := decode(enc)
+	for _, r := range recs {
+		pns = append(pns, r.pn)
 	}
 	return pns
 }
@@ -224,50 +311,63 @@ func seal(b []byte) []byte {
 // 0x20 outside it.
 var malformedWrites = []Word{{0x1000, 0x1000}, {0x9008, 0x9008}, {0x20000, 0x20000}}
 
-// malformed is the three-page encoding (pages 0x1, 0x9 and 0x20) of an
-// imaged emulator after malformedWrites, and an editor that copies it
-// with the given (offset, value) words overwritten.
-func malformed() (enc []byte, set func(kv ...uint64) []byte) {
-	e := New(imaged())
+// malformed returns the emulator imaged holds after malformedWrites and
+// its encoding's header and three one-word records (pages 0x1, 0x9 and
+// 0x20).
+func malformed() (e *Emulator, hdr []byte, recs []pageRecord) {
+	e = New(imaged())
 	for _, w := range malformedWrites {
 		e.Mem.Write(w.Addr, w.Val)
 	}
-	enc = e.AppendBinary(nil)
-	return enc, func(kv ...uint64) []byte {
-		b := append([]byte(nil), enc...)
-		for i := 0; i < len(kv); i += 2 {
-			binary.LittleEndian.PutUint64(b[kv[i]:], kv[i+1])
-		}
-		return seal(b)
-	}
+	hdr, recs = decode(e.AppendBinary(nil))
+	return e, hdr, recs
 }
 
-// pageAt is the offset of the k-th page record of an encoding.
-func pageAt(k int) uint64 { return uint64(stateHeaderBytes + k*statePageBytes) }
-
-// wordAt is the offset of the word at addr in the k-th page record.
-func wordAt(k int, addr uint64) uint64 { return pageAt(k) + 8 + (addr>>3&pageMask)*8 }
-
 // TestRestoreBinaryRejectsMalformedPages feeds correctly checksummed
-// encodings whose header or page list AppendBinary never writes. Each
+// encodings whose header or record list AppendBinary never writes. Each
 // must fail with ErrCorruptState — not panic, not restore — and leave the
 // emulator as it was.
 func TestRestoreBinaryRejectsMalformedPages(t *testing.T) {
-	enc, set := malformed()
-	npagesAt := uint64(stateHeaderBytes - 8)
-	// 2^61 pages × statePageBytes wraps to 0 mod 2^64, so a length check
-	// that multiplies first takes this 296-byte header with no page bytes
-	// for a complete encoding.
-	wrapped := append([]byte(nil), enc[:stateHeaderBytes+stateSumBytes]...)
-	binary.LittleEndian.PutUint64(wrapped[npagesAt:], 1<<61)
+	src, hdr, recs := malformed()
+	edit := func(f func(r []pageRecord)) []byte {
+		r := cloned(recs)
+		f(r)
+		return encode(hdr, uint64(len(r)), r...)
+	}
+	// A first record of seven words makes the three records fill exactly
+	// four records' fixed parts, so a count of 4 passes the size bound
+	// and runs out of records.
+	long := cloned(recs)
+	for a := uint64(0x1008); a < 0x1038; a += 8 {
+		long[0].set(a, a)
+	}
+	flagged := slices.Clone(hdr)
+	binary.LittleEndian.PutUint64(flagged[24:], 2)
+	// A version-2 page list: each changed page whole, 4,104 bytes a page.
+	// Its count fits that payload only at version 2's record size.
+	v2 := slices.Clone(hdr)
+	for _, r := range recs {
+		v2 = binary.LittleEndian.AppendUint64(v2, r.pn)
+		for _, w := range src.Mem.pages[r.pn].words {
+			v2 = binary.LittleEndian.AppendUint64(v2, w)
+		}
+	}
 	cases := map[string][]byte{
-		"page count wraps the length": seal(wrapped),
-		"page count too high":         set(npagesAt, 4),
-		"page count too low":          set(npagesAt, 2),
-		"pages out of order":          set(pageAt(0), 0x9, pageAt(1), 0x1),
-		"duplicate page":              set(pageAt(1), 0x1),
-		"page beyond address space":   set(pageAt(2), maxPageNum+1),
-		"unknown flag":                set(24, 2),
+		// 2^61 pages × stateRecordBytes wraps to 0 mod 2^64, so a length
+		// check that multiplies first takes this 296-byte header with no
+		// record bytes for a complete encoding.
+		"page count wraps the length": encode(hdr, 1<<61),
+		"page count too high":         encode(hdr, 4, recs...),
+		"page count too low":          encode(hdr, 2, recs...),
+		"page count past the records": encode(hdr, 4, long...),
+		"pages out of order":          edit(func(r []pageRecord) { r[0].pn, r[1].pn = 0x9, 0x1 }),
+		"duplicate page":              edit(func(r []pageRecord) { r[1].pn = 0x1 }),
+		"page beyond address space":   edit(func(r []pageRecord) { r[2].pn = maxPageNum + 1 }),
+		"unknown flag":                encode(flagged, 3, recs...),
+		"empty mask":                  edit(func(r []pageRecord) { r[1] = pageRecord{pn: r[1].pn} }),
+		"mask names more words":       edit(func(r []pageRecord) { r[2].mask[7] |= 1 << 63 }),
+		"bytes after the last record": edit(func(r []pageRecord) { r[2].words = append(r[2].words, 0) }),
+		"version-2 page list":         seal(append(v2, make([]byte, stateSumBytes)...)),
 	}
 	p := imaged()
 	for name, b := range cases {
@@ -281,39 +381,39 @@ func TestRestoreBinaryRejectsMalformedPages(t *testing.T) {
 			t.Errorf("%s: rejected restore changed the emulator", name)
 		}
 	}
-	if err := New(p).RestoreBinary(enc); err != nil {
+	if err := New(p).RestoreBinary(encode(hdr, 3, recs...)); err != nil {
 		t.Fatalf("the unmodified encoding must restore: %v", err)
 	}
 }
 
-// TestRestoreBinaryRecountsLiveWords: a restore counts each recorded
-// page's nonzero words as it copies them over the load image, so a
-// record that clears image words, an all-zero record and a record that
-// adds words all yield a memory whose accounting matches its contents
-// and which equals the memory the words describe.
+// TestRestoreBinaryRecountsLiveWords: a restore adjusts each page's live
+// count word by word as it writes the masked words over the load image,
+// so a record that clears image words, one that clears every nonzero
+// word of its page and one that adds words all yield a memory whose
+// accounting matches its contents and which equals the memory the
+// records describe.
 func TestRestoreBinaryRecountsLiveWords(t *testing.T) {
-	_, set := malformed()
+	_, hdr, recs := malformed()
 	p := imaged()
-	for name, edits := range map[string][]struct {
-		k         int
-		addr, val uint64
-	}{
-		"image word cleared": {{0, 0x1ff8, 0}},
-		"all-zero record":    {{0, 0x1ff8, 0}, {0, 0x1000, 0}},
-		"words added":        {{1, 0x9010, 3}, {2, 0x20008, 4}},
-		"outside page zero":  {{2, 0x20000, 0}},
+	for name, edits := range map[string][]Word{
+		"image word cleared": {{0x1ff8, 0}},
+		"all-zero record":    {{0x1ff8, 0}, {0x1000, 0}},
+		"words added":        {{0x9010, 3}, {0x20008, 4}},
+		"outside page zero":  {{0x20000, 0}},
+		"sparse mask":        {{0x9ff8, 5}, {0x9200, 6}, {0x9000, 0}},
 	} {
 		want := New(p)
 		for _, w := range malformedWrites {
 			want.Mem.Write(w.Addr, w.Val)
 		}
-		var kv []uint64
+		r := cloned(recs)
 		for _, ed := range edits {
-			want.Mem.Write(ed.addr, ed.val)
-			kv = append(kv, wordAt(ed.k, ed.addr), ed.val)
+			want.Mem.Write(ed.Addr, ed.Val)
+			k := slices.IndexFunc(r, func(r pageRecord) bool { return r.pn == ed.Addr>>3>>pageShift })
+			r[k].set(ed.Addr, ed.Val)
 		}
 		e := New(p)
-		if err := e.RestoreBinary(set(kv...)); err != nil {
+		if err := e.RestoreBinary(encode(hdr, uint64(len(r)), r...)); err != nil {
 			t.Fatalf("%s: RestoreBinary: %v", name, err)
 		}
 		checkLive(t, name, e.Mem)
@@ -355,10 +455,9 @@ func sameState(a, b *Emulator) bool {
 
 // FuzzRestoreBinary drives arbitrary bytes into RestoreBinary, as given
 // and with the checksum recomputed (the fuzzer cannot forge FNV-1a, and
-// the sealed form reaches the header and page-list checks behind it).
+// the sealed form reaches the header and record-list checks behind it).
 // The target program has a load image on three pages, so restores copy
-// it and overwrite image pages, clear them with all-zero records and add
-// pages outside it. Every input either restores or fails with
+// it, overwrite and clear image words and add pages outside it. Every input either restores or fails with
 // ErrCorruptState and none panics. A rejected input leaves the emulator
 // untouched. An accepted one leaves a memory whose live accounting
 // matches its words, and its re-encoding restores to the same state and

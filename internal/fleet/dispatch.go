@@ -183,11 +183,14 @@ func (j *fleetJob) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, err
 // finish resolves spec i with its wire result and hands it to the
 // server as is, so a result the worker answered from its cache or store
 // keeps that Source. A spec the ring failed to dispatch carries no
-// worker Source; it is reported as a failed run.
+// worker Source; it is reported as a failed run. The server settles
+// every spec Run returns as one it ran, so the hand-off comes before
+// the spec counts toward Run's return.
 func (j *fleetJob) finish(i int, r api.Result) {
 	if r.Source == "" {
 		r.Source = api.SourceRun
 	}
+	j.hooks.Resolve(i, r)
 	sr := r.Sim()
 	sr.Index, sr.Key, sr.Spec = i, j.specs[i].Key(), j.specs[i]
 	j.mu.Lock()
@@ -195,7 +198,6 @@ func (j *fleetJob) finish(i int, r api.Result) {
 	j.left--
 	last := j.left == 0
 	j.mu.Unlock()
-	j.hooks.Resolve(i, r)
 	if last {
 		close(j.done)
 	}
@@ -333,12 +335,14 @@ func (d *dispatcher) takeFromLocked(q *[]*unit, w *worker) []*unit {
 
 // stealLocked moves the tail end of the deepest healthy backlog (the work
 // its owner would reach last) onto w: half of it, or its one unit when
-// the owner is busy with a dispatch, at most a chunk. A lone unit queued
-// behind an idle owner is left to that owner, which is about to take it.
+// the owner is busy with a dispatch, at most a chunk. An idle owner's
+// queue that fits one chunk is left to that owner, which is about to
+// take it whole in one dispatch: a steal would only run those specs, and
+// cache their results, off their home worker.
 func (d *dispatcher) stealLocked(w *worker) []*unit {
 	var victim *worker
 	for _, v := range d.workers {
-		if v == w || !v.healthy || len(v.queue) == 0 || (len(v.queue) == 1 && v.inflight == 0) {
+		if v == w || !v.healthy || len(v.queue) == 0 || (v.inflight == 0 && len(v.queue) <= d.cfg.ChunkSize) {
 			continue
 		}
 		if victim == nil || len(v.queue) > len(victim.queue) {

@@ -218,9 +218,10 @@ func TestFleetSweepMatchesSingleNode(t *testing.T) {
 	addrA, _ := newWorker(t, server.Config{Backend: fixed{ba}})
 	addrB, _ := newWorker(t, server.Config{Backend: fixed{bb}})
 	// ChunkSize >= the sweep lets each worker take its whole shard in
-	// one dispatch, so no backlog lingers for work stealing to move off
-	// its rendezvous home — the cache-homing assertions below depend on
-	// every spec running on its own shard.
+	// one dispatch, and an idle worker's queue that fits one chunk is
+	// never stolen, so no spec moves off its rendezvous home — the
+	// cache-homing assertions below depend on every spec running on its
+	// own shard.
 	_, fc := newFleet(t, fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 16})
 
 	st := runSweep(t, fc, specs)
@@ -449,6 +450,33 @@ func TestFleetLoneMissStolen(t *testing.T) {
 	open()
 	if st, err := fc.Wait(ctx, held.JobID); err != nil || st.Results[0].Error != "" {
 		t.Fatalf("released job = %+v (%v), want a clean result", st, err)
+	}
+}
+
+// TestStealSparesIdleOwnersChunk pins the steal rule. An idle owner's
+// queue of at most one chunk is never a victim: its owner takes it whole
+// in its next dispatch, and a steal would cache those specs off their
+// home worker. A busy owner's queue is, down to a single unit
+// (TestFleetLoneMissStolen's case), and so is an idle owner's backlog
+// beyond one chunk.
+func TestStealSparesIdleOwnersChunk(t *testing.T) {
+	for _, c := range []struct {
+		name                          string
+		chunk, queued, inflight, want int
+	}{
+		{"idle owner, one unit", 16, 1, 0, 0},
+		{"idle owner, part of a chunk", 16, 6, 0, 0},
+		{"idle owner, one whole chunk", 16, 16, 0, 0},
+		{"idle owner, a chunk and one", 4, 5, 0, 2},
+		{"idle owner, several chunks", 4, 10, 0, 4},
+		{"busy owner, one unit", 1, 1, 1, 1},
+		{"busy owner, part of a chunk", 16, 6, 3, 3},
+		{"busy owner, empty queue", 16, 0, 1, 0},
+	} {
+		if got := fleet.Steal(c.chunk, c.queued, c.inflight); got != c.want {
+			t.Errorf("%s (chunk %d, %d queued, %d in flight): %d stolen, want %d",
+				c.name, c.chunk, c.queued, c.inflight, got, c.want)
+		}
 	}
 }
 
@@ -711,8 +739,9 @@ func TestFleetRestartOverWarmWorkers(t *testing.T) {
 	ba, bb := &countingBackend{}, &countingBackend{}
 	addrA, _ := newWorker(t, server.Config{Backend: fixed{ba}})
 	addrB, _ := newWorker(t, server.Config{Backend: fixed{bb}})
-	// One chunk per shard: no backlog for stealing to move off its home
-	// worker, so every spec is cached where the next coordinator sends it.
+	// One chunk per shard: an idle worker's queue that fits one chunk is
+	// never stolen (TestStealSparesIdleOwnersChunk), so every spec is
+	// cached where the next coordinator sends it.
 	cfg := fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 16}
 
 	first, fc1 := newFleet(t, cfg)

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -293,13 +294,29 @@ func TestStaleProfileFailsTheRun(t *testing.T) {
 }
 
 // TestUnrestorableCheckpointReplaced: a blob that passes the store's
-// checks but does not restore, as a checkpoint written by an older
-// encoding does, costs one miss. The run that misses it replaces it, in
-// a memory store and on disk, so the next run restores that boundary.
+// checks but does not restore costs one miss, whether it is junk or a
+// checkpoint an older encoding wrote, as in an msrd -ckpt directory an
+// older build left. The run that misses it replaces it, in a memory
+// store and on disk, so the next run restores that boundary.
 func TestUnrestorableCheckpointReplaced(t *testing.T) {
 	spec := Spec{Workload: "mcf", Scale: 0, Engine: EngineRGID,
 		FastForward: 1000, DetailedWindow: 500, SamplePeriods: 3}
-	key := boundaryKey(spec.CheckpointKey(), spec.FastForward)
+	key, end := boundaryKey(spec.CheckpointKey(), spec.FastForward), endKey(spec.CheckpointKey())
+	// testdata/ckpt-v2 holds the two checkpoints this spec restores as a
+	// version-2 build wrote them: its first boundary (no page changed
+	// since load, so a bare header) and its end state (one whole page).
+	v2 := map[string][]byte{}
+	for k, file := range map[string]string{key: "mcf-s0-1000", end: "mcf-s0-end"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "ckpt-v2", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2[k] = b
+	}
+	seeds := map[string]map[string][]byte{
+		"junk":      {key: []byte("junk")},
+		"version 2": v2,
+	}
 	run := func(t *testing.T, store *ckpt.Store) Result {
 		t.Helper()
 		res, err := (&Runner{Jobs: 1, Checkpoints: store}).Run(context.Background(), []Spec{spec})
@@ -319,29 +336,41 @@ func TestUnrestorableCheckpointReplaced(t *testing.T) {
 	}
 
 	t.Run("memory", func(t *testing.T) {
-		store := ckpt.NewMemory(-1)
-		store.Put(key, []byte("junk"))
-		first := run(t, store)
-		check(t, first, run(t, store))
+		for name, blobs := range seeds {
+			t.Run(name, func(t *testing.T) {
+				store := ckpt.NewMemory(-1)
+				for k, b := range blobs {
+					store.Put(k, b)
+				}
+				first := run(t, store)
+				check(t, first, run(t, store))
+			})
+		}
 	})
 	t.Run("disk", func(t *testing.T) {
-		dir := t.TempDir()
-		open := func() *ckpt.Store {
-			s, err := ckpt.Open(dir, -1, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		for name, blobs := range seeds {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				open := func() *ckpt.Store {
+					s, err := ckpt.Open(dir, -1, 0, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				store := open()
+				for k, b := range blobs {
+					store.Put(k, b)
+				}
+				store.Close()
+				store = open()
+				first := run(t, store)
+				store.Close()
+				store = open()
+				defer store.Close()
+				check(t, first, run(t, store))
+			})
 		}
-		store := open()
-		store.Put(key, []byte("junk"))
-		store.Close()
-		store = open()
-		first := run(t, store)
-		store.Close()
-		store = open()
-		defer store.Close()
-		check(t, first, run(t, store))
 	})
 }
 

@@ -194,3 +194,24 @@ func TestParseLineRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseLine drives arbitrary text into ParseLine. No input panics,
+// and a line it accepts keeps its cycle, kind, seq and pc through
+// Writer.Emit and a second parse.
+func FuzzParseLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		e, err := ParseLine(line)
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		(&Writer{W: &sb}).Emit(e)
+		got, err := ParseLine(sb.String())
+		if err != nil {
+			t.Fatalf("ParseLine(%q) = %+v, whose emitted line %q does not parse: %v", line, e, sb.String(), err)
+		}
+		if got.Cycle != e.Cycle || got.Kind != e.Kind || got.Seq != e.Seq || got.PC != e.PC {
+			t.Fatalf("ParseLine(%q) = %+v, but its emitted line %q parses to %+v", line, e, sb.String(), got)
+		}
+	})
+}

@@ -29,10 +29,11 @@ min_mcf_mips=0.33
 mcf_runs=3
 # The checkpoint store's size after a traced sampled-ckpt run, in bytes.
 # The captured states depend on the programs alone, so the size is exact
-# on any host: 15,960,707 bytes when each checkpoint records only the
-# pages that differ from its program's load image, 70,285,955 when each
-# recorded every non-zero page.
-max_ckpt_bytes=20000000
+# on any host: 5,122,667 bytes in 1,055 entries when each checkpoint
+# records only the words that differ from its program's load image,
+# 15,960,707 when it recorded each such page whole and 70,285,955 when
+# it recorded every non-zero page.
+max_ckpt_bytes=6000000
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
