@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"mssr/internal/client"
-	"mssr/internal/events"
 	"mssr/internal/experiments"
 	"mssr/internal/profiles"
 	"mssr/internal/sim"
@@ -52,7 +50,6 @@ func run() int {
 		jsonOut  = flag.String("json", "", `append one JSON object per simulation to this file ("-" = stdout)`)
 		timeout  = flag.Duration("timeout", 0, "per-simulation wall-time limit (0 = none)")
 		remote   = flag.String("remote", "", "msrd daemon or msrfleet coordinator address; sweeps are submitted there instead of simulating locally")
-		follow   = flag.Bool("follow", false, "with -remote: tail the service's live event bus on stderr while the sweeps run")
 		batch    = flag.Bool("batch", true, "group a sweep's same-workload specs into lockstep batch runs over a shared instruction stream (in-process runs; for -remote see msrd -batch)")
 		statsIv  = flag.Uint64("stats-interval", 0, "attach interval telemetry to every sweep, sampled every N cycles (0 = off; implied 4096 by -stats-out)")
 		statsOut = flag.String("stats-out", "", `write the per-interval telemetry of every run to this file: NDJSON, or CSV when the name ends in .csv ("-" = stdout)`)
@@ -107,9 +104,6 @@ func run() int {
 			Client:   client.New(*remote),
 			Observer: sim.Observers(obs...),
 		})
-		if *follow {
-			go followEvents(*remote)
-		}
 	} else {
 		experiments.SetRunner(&sim.Runner{
 			Jobs:     *jobs,
@@ -215,44 +209,4 @@ func render(r renderer, err error) (string, error) {
 		return "", err
 	}
 	return r.Render(), nil
-}
-
-// followEvents tails the remote service's live event bus on stderr for
-// the life of the process: one compact line per lifecycle event
-// (interval frames are summarized per window, not printed). Best
-// effort — a daemon without /v1/events just logs one notice.
-func followEvents(addr string) {
-	cl := client.New(addr)
-	err := cl.Events(context.Background(), "", func(ev events.Event) error {
-		if ev.Type == events.TypeInterval {
-			return nil // too chatty for narration; use msrtail to capture
-		}
-		line := "msrbench: " + ev.Type
-		if ev.Job != "" {
-			line += " job=" + ev.Job
-		}
-		if ev.Key != "" {
-			line += " key=" + ev.Key
-		}
-		if ev.Worker != "" {
-			line += " worker=" + ev.Worker
-		}
-		if ev.Window > 0 {
-			line += fmt.Sprintf(" window=%d/%d", ev.Window, ev.Windows)
-		}
-		if ev.Source != "" {
-			line += " source=" + ev.Source
-		}
-		if ev.WallMS > 0 {
-			line += fmt.Sprintf(" wall_ms=%.1f", ev.WallMS)
-		}
-		if ev.Error != "" {
-			line += " error=" + ev.Error
-		}
-		fmt.Fprintln(os.Stderr, line)
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msrbench: -follow event stream unavailable: %v\n", err)
-	}
 }

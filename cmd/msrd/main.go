@@ -119,17 +119,23 @@ func main() {
 		handler = mux
 		log.Printf("msrd: pprof endpoints enabled under /debug/pprof/")
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("msrd: %v", err)
+	}
 	if *register != "" {
 		adv, err := advertiseAddr(*advertise, *addr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "msrd:", err)
 			os.Exit(2)
 		}
+		// The listener is open, so the coordinator's first dial after
+		// registration waits in its backlog instead of being refused.
 		go registerLoop(*register, adv)
 	}
 
 	log.Printf("msrd: serving on %s (sim jobs %d, queue %d, cache %d)", *addr, *jobs, *queue, *cacheSize)
-	cli.Serve("msrd", *addr, handler, *dashboard, *drain, srv.Shutdown)
+	cli.Serve("msrd", ln, handler, *dashboard, *drain, srv.Shutdown)
 	if st != nil {
 		// The server's drain already flushed the write-behind queue;
 		// Close joins the writer so nothing is torn mid-rename.

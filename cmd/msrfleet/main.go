@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"strings"
 	"time"
@@ -60,6 +61,10 @@ func main() {
 		}
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("msrfleet: %v", err)
+	}
 	co := fleet.New(fleet.Config{
 		Workers:        ring,
 		ChunkSize:      *chunk,
@@ -70,5 +75,5 @@ func main() {
 		Logger:         logger,
 	})
 	log.Printf("msrfleet: serving on %s (%d static workers, chunk %d)", *addr, len(ring), *chunk)
-	cli.Serve("msrfleet", *addr, co, *dashboard, *drain, co.Shutdown)
+	cli.Serve("msrfleet", ln, co, *dashboard, *drain, co.Shutdown)
 }

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"mssr/internal/asm"
-	"mssr/internal/obs"
 	"mssr/internal/profiles"
 	"mssr/internal/sim"
 	"mssr/internal/stats"
@@ -183,7 +182,7 @@ func run() int {
 		}
 	}
 	if *statsOut != "" {
-		if err := writeIntervals(*statsOut, res.Intervals); err != nil {
+		if err := writeIntervals(*statsOut, res); err != nil {
 			return fatal(err)
 		}
 		fmt.Printf("  %d intervals (%d dropped) -> %s\n", len(res.Intervals), res.IntervalsDropped, *statsOut)
@@ -239,18 +238,20 @@ func openOut(path string) (io.Writer, func() error, error) {
 	}, nil
 }
 
-// writeIntervals writes the run's interval telemetry to path: CSV when
+// writeIntervals writes the run's interval telemetry to path through
+// sim.IntervalStream, the keyed writer of msrbench -stats-out: CSV when
 // the name ends in .csv, NDJSON otherwise.
-func writeIntervals(path string, ivs []obs.Interval) error {
+func writeIntervals(path string, res sim.Result) error {
 	w, closeOut, err := openOut(path)
 	if err != nil {
 		return err
 	}
+	ivs := sim.NewIntervalStream(w)
 	if strings.HasSuffix(path, ".csv") {
-		err = obs.WriteCSV(w, ivs)
-	} else {
-		err = obs.WriteNDJSON(w, ivs)
+		ivs = sim.NewIntervalCSVStream(w)
 	}
+	ivs.OnFinish(0, 1, res)
+	err = ivs.Err()
 	if cerr := closeOut(); err == nil {
 		err = cerr
 	}

@@ -223,17 +223,6 @@ type Result struct {
 	FFExecuted uint64 `json:"ff_executed,omitempty"`
 }
 
-// IntervalRecord is one line of the NDJSON interval endpoints
-// (GET /v1/jobs/{id}/intervals): an interval annotated with the result
-// key and source it belongs to.
-type IntervalRecord struct {
-	// Key is the owning result's display key.
-	Key string `json:"key"`
-	// Source mirrors the owning Result.Source.
-	Source string `json:"source,omitempty"`
-	obs.Interval
-}
-
 // ResultFromSim converts a completed sim.Result into its wire form.
 func ResultFromSim(r sim.Result, source string) Result {
 	out := Result{

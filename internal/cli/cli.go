@@ -45,15 +45,14 @@ func BuildLogger(level, format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("unknown -log-format %q (text, json)", format)
 }
 
-// Serve runs a daemon's handler on addr until SIGINT/SIGTERM, then gives
+// Serve runs a daemon's handler on ln until SIGINT/SIGTERM, then gives
 // shutdown up to drain to finish in-flight work before the listener
 // closes; it returns once it has. dashboard mounts the live dashboard
-// at /dashboard in front of h.
-func Serve(name, addr string, h http.Handler, dashboard bool, drain time.Duration, shutdown func(context.Context) error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("%s: %v", name, err)
-	}
+// at /dashboard in front of h. The caller opens ln, so a connection
+// made once it is open, such as a fleet coordinator's first dial to a
+// worker that has just registered, waits in the listen backlog instead
+// of being refused.
+func Serve(name string, ln net.Listener, h http.Handler, dashboard bool, drain time.Duration, shutdown func(context.Context) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := serve(ctx, ln, name, h, dashboard, drain, shutdown); err != nil {

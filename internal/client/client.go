@@ -175,14 +175,6 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(api.Result) erro
 	return getNDJSON(ctx, c, "/v1/jobs/"+id+"/stream", fn)
 }
 
-// Intervals consumes the job's NDJSON interval-telemetry stream
-// (GET /v1/jobs/{id}/intervals), calling fn for every interval record of
-// every completed sampled result, in completion order. Like Stream, it
-// returns when the job is done or fn returns an error.
-func (c *Client) Intervals(ctx context.Context, id string, fn func(api.IntervalRecord) error) error {
-	return getNDJSON(ctx, c, "/v1/jobs/"+id+"/intervals", fn)
-}
-
 // getNDJSON reads the NDJSON response to GET path, decoding each line
 // into a T and calling fn in arrival order. It returns nil when the
 // server ends the stream, and fn's error as it is.

@@ -19,7 +19,7 @@ var ErrStopEvents = errors.New("client: stop event stream")
 // or fn returns ErrStopEvents, ctx.Err() on cancellation, and fn's error
 // otherwise. Gaps in Event.Seq mean the server dropped frames rather
 // than stall the publisher — consumers needing a complete record should
-// use Stream/Intervals, which replay.
+// use Stream, which replays every result with its intervals.
 func (c *Client) Events(ctx context.Context, jobID string, fn func(events.Event) error) error {
 	path := "/v1/events"
 	if jobID != "" {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mssr/internal/isa"
-	"mssr/internal/obs"
 )
 
 // batchTestNames returns the standard engine configurations in a stable
@@ -47,15 +46,15 @@ func captureRef(t *testing.T, c *Core) batchRef {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var iv bytes.Buffer
-	if err := obs.WriteNDJSON(&iv, c.Intervals()); err != nil {
+	iv, err := json.Marshal(c.Intervals())
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := json.Marshal(c.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return batchRef{stats: st, result: string(res), intervals: iv.Bytes()}
+	return batchRef{stats: st, result: string(res), intervals: iv}
 }
 
 // TestBatchedMatchesSequential is the batch driver's correctness gate:

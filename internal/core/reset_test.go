@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"mssr/internal/emu"
@@ -250,16 +251,17 @@ func TestSampledIntervalsPooledVsFresh(t *testing.T) {
 			if len(ivs) == 0 {
 				t.Fatal("no intervals recorded; workload too short for interval 256?")
 			}
-			var pooledOut, freshOut bytes.Buffer
-			if err := obs.WriteNDJSON(&pooledOut, pooled.Intervals()); err != nil {
+			pooledOut, err := json.Marshal(pooled.Intervals())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := obs.WriteNDJSON(&freshOut, ivs); err != nil {
+			freshOut, err := json.Marshal(ivs)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(pooledOut.Bytes(), freshOut.Bytes()) {
-				t.Fatalf("interval NDJSON diverged between pooled and fresh cores:\npooled:\n%s\nfresh:\n%s",
-					pooledOut.String(), freshOut.String())
+			if !bytes.Equal(pooledOut, freshOut) {
+				t.Fatalf("intervals diverged between pooled and fresh cores:\npooled:\n%s\nfresh:\n%s",
+					pooledOut, freshOut)
 			}
 			// The memory-hierarchy mirror must be live: both programs load
 			// every iteration, so L1D traffic is guaranteed.

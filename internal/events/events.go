@@ -83,13 +83,12 @@ type Event struct {
 	Interval obs.Interval `json:"interval"`
 }
 
-// AppendJSONString appends a JSON-quoted string, escaping the
+// appendJSONString appends a JSON-quoted string, escaping the
 // characters RFC 8259 requires (quote, backslash, control bytes). Bus
 // strings are ASCII identifiers and Go error text, so no HTML or UTF-8
 // special casing is needed for determinism — bytes >= 0x20 pass
-// through. Exported for the NDJSON encoders that share the bus's
-// deterministic framing (the /intervals stream).
-func AppendJSONString(dst []byte, s string) []byte {
+// through.
+func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -125,7 +124,7 @@ func (e *Event) AppendJSON(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, e.TimeNS, 10)
 	}
 	dst = append(dst, `,"type":`...)
-	dst = AppendJSONString(dst, e.Type)
+	dst = appendJSONString(dst, e.Type)
 	str := func(k, v string) {
 		if v == "" {
 			return
@@ -133,7 +132,7 @@ func (e *Event) AppendJSON(dst []byte) []byte {
 		dst = append(dst, ',', '"')
 		dst = append(dst, k...)
 		dst = append(dst, '"', ':')
-		dst = AppendJSONString(dst, v)
+		dst = appendJSONString(dst, v)
 	}
 	num := func(k string, v int) {
 		if v == 0 {

@@ -2,8 +2,8 @@
 // (internal/server) whose backend is a ring of msrd worker daemons
 // instead of an in-process simulator. The coordinator therefore speaks
 // the /v1 API a single daemon does through the server's own handlers —
-// one job book, one result cache, in-flight dedup, /v1/events, the live
-// /intervals stream, /healthz and /readyz — so every existing client
+// one job book, one result cache, in-flight dedup, the /stream and
+// /v1/events streams, /healthz and /readyz — so every existing client
 // (internal/client, msrbench -remote) points at a fleet unchanged, and
 // a repeated spec is answered at the coordinator without a worker hop.
 //

@@ -15,6 +15,7 @@ import (
 
 	"mssr/internal/api"
 	"mssr/internal/client"
+	"mssr/internal/events"
 	"mssr/internal/fleet"
 	"mssr/internal/server"
 	"mssr/internal/sim"
@@ -481,9 +482,11 @@ func TestStealSparesIdleOwnersChunk(t *testing.T) {
 }
 
 // newStalledWorker serves a fake msrd that accepts a sub-job, opens its
-// result stream and then writes nothing more, failing /healthz from the
-// moment the stream opens: a hung process on a live TCP connection.
-func newStalledWorker(t *testing.T) string {
+// result stream and then writes nothing more: a hung process on a live
+// TCP connection. From the moment the stream opens, /healthz answers
+// 503, or with hang never answers: it holds each probe until the
+// prober gives up on it.
+func newStalledWorker(t *testing.T, hang bool) string {
 	t.Helper()
 	var stalled atomic.Bool
 	mux := http.NewServeMux()
@@ -500,7 +503,11 @@ func newStalledWorker(t *testing.T) string {
 		<-r.Context().Done()
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if stalled.Load() {
+		switch {
+		case stalled.Load() && hang:
+			<-r.Context().Done()
+			return
+		case stalled.Load():
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
@@ -516,7 +523,7 @@ func newStalledWorker(t *testing.T) string {
 // checks loses the chunk when it is demoted, and the job finishes on the
 // rest of the ring.
 func TestFleetStalledStreamRetried(t *testing.T) {
-	stalledAddr := newStalledWorker(t)
+	stalledAddr := newStalledWorker(t, false)
 	addr, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
 	addrs := []string{stalledAddr, addr}
 	_, fc := newFleet(t, fleet.Config{Workers: addrs})
@@ -543,6 +550,48 @@ func TestFleetStalledStreamRetried(t *testing.T) {
 	}
 	if retries := metricValue(t, m, "msrfleet_retries_total"); retries < 1 {
 		t.Errorf("msrfleet_retries_total = %v, want >= 1: the stalled worker's specs should have been retried", retries)
+	}
+}
+
+// TestFleetHungProbeDemoted pins the hung-probe fault: a worker that
+// stalls its result stream and then never answers /healthz fails the
+// probe at its timeout, is demoted (one failure suffices here), is
+// announced with worker_down, and its specs finish on the rest of the
+// ring.
+func TestFleetHungProbeDemoted(t *testing.T) {
+	stalledAddr := newStalledWorker(t, true)
+	addr, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
+	addrs := []string{stalledAddr, addr}
+	co, fc := newFleet(t, fleet.Config{Workers: addrs, HealthFailures: 1})
+	bus := co.Hub().Subscribe("", 0)
+	defer bus.Close()
+
+	specs := append(specsOn(t, addrs, stalledAddr, 4), specsOn(t, addrs, addr, 4)...)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	sub, err := fc.Submit(ctx, specs)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st, err := fc.Wait(ctx, sub.JobID)
+	if err != nil {
+		t.Fatalf("the job never finished past the hung worker: %v", err)
+	}
+	if st.Error != "" {
+		t.Errorf("job error: %s", st.Error)
+	}
+	for i, r := range st.Results {
+		if r.Error != "" {
+			t.Errorf("result %d errored: %s", i, r.Error)
+		}
+	}
+	for down := false; !down; {
+		select {
+		case ev := <-bus.C():
+			down = ev.Type == events.TypeWorkerDown && ev.Worker == stalledAddr
+		default:
+			t.Fatalf("no worker_down event for %s (%d events dropped)", stalledAddr, bus.Dropped())
+		}
 	}
 }
 

@@ -1,25 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
-
-// WriteNDJSON writes one JSON object per interval, newline-delimited.
-// The encoding is deterministic: identical intervals produce identical
-// bytes, which the pooled-vs-fresh determinism tests rely on.
-func WriteNDJSON(w io.Writer, ivs []Interval) error {
-	enc := json.NewEncoder(w)
-	for i := range ivs {
-		if err := enc.Encode(&ivs[i]); err != nil {
-			return fmt.Errorf("obs: encoding interval %d: %w", ivs[i].Index, err)
-		}
-	}
-	return nil
-}
 
 // csvColumns is the CSV column order; it mirrors the Interval field
 // order so the two encodings agree on what an interval is.
@@ -79,27 +63,15 @@ func (iv *Interval) CSVRow() string {
 	return sb.String()
 }
 
-// WriteCSV writes a header line followed by one row per interval.
-func WriteCSV(w io.Writer, ivs []Interval) error {
-	if _, err := fmt.Fprintln(w, CSVHeader()); err != nil {
-		return fmt.Errorf("obs: writing csv header: %w", err)
-	}
-	for i := range ivs {
-		if _, err := fmt.Fprintln(w, ivs[i].CSVRow()); err != nil {
-			return fmt.Errorf("obs: writing interval %d: %w", ivs[i].Index, err)
-		}
-	}
-	return nil
-}
-
-// AppendJSONFields appends the interval's fields as `"k":v` pairs —
-// without enclosing braces — to dst and returns the extended slice. The
-// field order matches the struct's JSON tags and floats use the shortest
-// round-trippable representation, so identical intervals always produce
-// identical bytes (the live event stream's golden pins rely on this).
-// Mode and Window are omitted when zero, mirroring their omitempty tags.
-// Mode never needs escaping ("" or "detail").
-func (iv *Interval) AppendJSONFields(dst []byte) []byte {
+// AppendJSON appends the interval as one JSON object to dst and returns
+// the extended slice. The field order matches the struct's JSON tags and
+// floats use the shortest round-trippable representation, so identical
+// intervals always produce identical bytes (the live event stream's
+// golden pins rely on this). Mode and Window are omitted when zero,
+// mirroring their omitempty tags. Mode never needs escaping ("" or
+// "detail").
+func (iv *Interval) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
 	u := func(k string, v uint64) {
 		dst = append(dst, '"')
 		dst = append(dst, k...)
@@ -147,13 +119,5 @@ func (iv *Interval) AppendJSONFields(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(iv.Window), 10)
 		dst = append(dst, ',')
 	}
-	return dst[:len(dst)-1] // drop the trailing comma
-}
-
-// AppendJSON appends the interval as one JSON object to dst and returns
-// the extended slice. Byte-deterministic; see AppendJSONFields.
-func (iv *Interval) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '{')
-	dst = iv.AppendJSONFields(dst)
-	return append(dst, '}')
+	return append(dst[:len(dst)-1], '}') // drop the trailing comma
 }

@@ -130,47 +130,38 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	s.Record(snapAt(200, 240, 40))
 	ivs := s.Intervals()
 
-	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, ivs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(ivs) {
-		t.Fatalf("wrote %d lines for %d intervals", len(lines), len(ivs))
-	}
-	for i, line := range lines {
+	for i := range ivs {
+		line, err := json.Marshal(&ivs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got Interval
-		if err := json.Unmarshal([]byte(line), &got); err != nil {
-			t.Fatalf("line %d does not parse: %v", i, err)
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatalf("interval %d does not parse: %v", i, err)
 		}
 		if got != ivs[i] {
-			t.Errorf("line %d round-trip mismatch:\nwant %+v\ngot  %+v", i, ivs[i], got)
+			t.Errorf("interval %d round-trip mismatch:\nwant %+v\ngot  %+v", i, ivs[i], got)
 		}
-	}
-
-	// Same intervals, same bytes.
-	var buf2 bytes.Buffer
-	if err := WriteNDJSON(&buf2, ivs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("NDJSON encoding is not deterministic")
+		// Same interval, same bytes.
+		again, err := json.Marshal(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, again) {
+			t.Errorf("interval %d encoding is not deterministic:\n%s\n%s", i, line, again)
+		}
 	}
 }
 
 func TestCSVMatchesHeader(t *testing.T) {
 	s := NewSampler(100, 8)
 	s.Record(snapAt(100, 80, 8))
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, s.Intervals()); err != nil {
-		t.Fatal(err)
+	ivs := s.Intervals()
+	if len(ivs) != 1 {
+		t.Fatalf("got %d intervals, want 1", len(ivs))
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want header + 1 row", len(lines))
-	}
-	cols := strings.Split(lines[0], ",")
-	row := strings.Split(lines[1], ",")
+	cols := strings.Split(CSVHeader(), ",")
+	row := strings.Split(ivs[0].CSVRow(), ",")
 	if len(cols) != len(row) {
 		t.Fatalf("header has %d columns, row has %d", len(cols), len(row))
 	}

@@ -136,31 +136,21 @@ func (j *job) status() api.JobStatus {
 	return st
 }
 
-// peek returns the completion-order event at position i if it already
-// exists. When it does not, the third return is a channel closed at the
-// next publication — nil when the job is done and no further events
-// will come. The non-blocking half of next, for handlers that multiplex
-// completions with a live event subscription.
-func (j *job) peek(i int) (api.Result, bool, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if i < len(j.events) {
-		return j.events[i], true, nil
-	}
-	if j.state == api.StateDone {
-		return api.Result{}, false, nil
-	}
-	return api.Result{}, false, j.notify
-}
-
 // next returns the completion-order event at position i, blocking
 // until it exists, the job finishes, or cancel is closed. The second
 // return is false when no more events will come.
 func (j *job) next(i int, cancel <-chan struct{}) (api.Result, bool) {
 	for {
-		e, ok, ch := j.peek(i)
-		if ok || ch == nil {
-			return e, ok
+		j.mu.Lock()
+		if i < len(j.events) {
+			e := j.events[i]
+			j.mu.Unlock()
+			return e, true
+		}
+		done, ch := j.state == api.StateDone, j.notify
+		j.mu.Unlock()
+		if done {
+			return api.Result{}, false
 		}
 		select {
 		case <-ch:

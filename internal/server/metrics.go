@@ -30,7 +30,7 @@ type metrics struct {
 	simCycles   atomic.Uint64 // cumulative simulated cycles
 	simRetired  atomic.Uint64 // cumulative retired instructions
 	simWallNS   atomic.Int64  // cumulative simulation wall time
-	streamConns atomic.Int64  // gauge: open NDJSON streams (/stream, /intervals, /v1/events)
+	streamConns atomic.Int64  // gauge: open NDJSON streams (/stream, /v1/events)
 
 	streamErrors atomic.Uint64 // NDJSON streams ended by an encode or write failure
 
@@ -120,7 +120,7 @@ func (m *metrics) write(w io.Writer, prefix string, queueDepth, cacheLen int, rs
 	}
 	emit("sim_mips", "Aggregate simulated throughput: retired instructions per simulation wall second, in millions.", "gauge",
 		fmt.Sprintf("%.6f", mips))
-	emit("stream_connections", "Open NDJSON streams: job completions, interval telemetry and live events.", "gauge", m.streamConns.Load())
+	emit("stream_connections", "Open NDJSON streams: job completions and live events.", "gauge", m.streamConns.Load())
 	emit("stream_errors_total", "NDJSON streams ended by an encode or write failure, a reader stalled past the write deadline included.", "counter", m.streamErrors.Load())
 	emit("events_dropped_total", "Live event frames dropped on full subscriber buffers.", "counter", eventsDropped)
 	emit("sim_l1d_hits_total", "Cumulative L1D cache hits across executed simulations.", "counter", m.l1dHits.Load())

@@ -9,7 +9,6 @@
 //	POST /v1/jobs                 submit a batch of specs -> job id
 //	GET  /v1/jobs/{id}            job status; results once done
 //	GET  /v1/jobs/{id}/stream     NDJSON of per-simulation completions
-//	GET  /v1/jobs/{id}/intervals  NDJSON of interval telemetry, live
 //	GET  /v1/events               NDJSON of live bus events (?job= filters)
 //	GET  /healthz                 liveness ("draining" during shutdown)
 //	GET  /readyz                  readiness (draining, backend, saturation)
@@ -77,19 +76,17 @@ type Config struct {
 	JobTimeout time.Duration
 	// Batch enables lockstep batch admission: a job's leader specs that
 	// share a workload+scale execute as one batch group over a shared
-	// instruction stream (sim.Runner.Batching). Per-job accounting,
-	// dedup/caching (keyed on CanonicalKey) and the interval endpoints
-	// are unaffected on the wire — results are bit-identical to
-	// unbatched execution, and each job still reports its own wall time
-	// and MIPS.
+	// instruction stream (sim.Runner.Batching). Per-job accounting and
+	// dedup/caching (keyed on CanonicalKey) are unaffected on the wire —
+	// results, their intervals included, are bit-identical to unbatched
+	// execution, and each job still reports its own wall time and MIPS.
 	Batch bool
 	// RetryAfter is the backoff hint attached to 429 responses
 	// (0 = 1s).
 	RetryAfter time.Duration
-	// StreamWriteTimeout bounds each write of an NDJSON stream
-	// (/stream, /intervals, /v1/events); a reader that stalls longer is
-	// disconnected and counted against msrd_stream_errors_total
-	// (0 = 10s).
+	// StreamWriteTimeout bounds each write of an NDJSON stream (/stream,
+	// /v1/events); a reader that stalls longer is disconnected and
+	// counted against msrd_stream_errors_total (0 = 10s).
 	StreamWriteTimeout time.Duration
 	// Checkpoints, when set, is the checkpoint store every per-job
 	// sim.Runner shares: architectural boundary states captured by one
@@ -213,7 +210,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/intervals", s.handleIntervals)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -749,120 +745,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleIntervals streams interval-telemetry records as NDJSON
-// (api.IntervalRecord lines), incrementally: frames recorded by running
-// leader simulations are forwarded from the event bus the moment the
-// sampler produces them, and each completed result contributes whatever
-// the live path did not already deliver — everything, for
-// cache/store/dedup results and for subscribers that attached after the
-// run finished. Lines use the deterministic obs float formatting; per
-// key the delivered records match the completed result's Intervals
-// (plus any early frames a bounded ring would have overwritten, minus
-// frames lost to a saturated subscriber buffer, which
-// msrd_events_dropped_total counts).
-func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	// Subscribe before scanning completions so no frame falls between
-	// "already completed" and "will arrive live".
-	sub := s.hub.Subscribe(j.id, 4096)
-	defer sub.Close()
-	st := s.openStream(w, j.id, "intervals")
-	defer st.close()
-
-	var buf []byte
-	appendRec := func(key, source string, iv *obs.Interval) {
-		buf = append(buf, `{"key":`...)
-		buf = events.AppendJSONString(buf, key)
-		buf = append(buf, `,"source":`...)
-		buf = events.AppendJSONString(buf, source)
-		buf = append(buf, ',')
-		buf = iv.AppendJSONFields(buf)
-		buf = append(buf, '}', '\n')
-	}
-	// seen tracks the live high-water mark per key as a (window, index)
-	// pair — multi-fidelity windows restart interval indices at zero —
-	// so completion replay emits only the tail the live path missed.
-	type mark struct {
-		win, idx int
-		any      bool
-	}
-	seen := make(map[string]*mark)
-	live := func(ev events.Event) bool {
-		if ev.Type != events.TypeInterval {
-			return true
-		}
-		m := seen[ev.Key]
-		if m == nil {
-			m = &mark{}
-			seen[ev.Key] = m
-		}
-		m.any = true
-		if ev.Interval.Window > m.win || (ev.Interval.Window == m.win && ev.Interval.Index >= m.idx) {
-			m.win, m.idx = ev.Interval.Window, ev.Interval.Index
-		}
-		buf = buf[:0]
-		appendRec(ev.Key, api.SourceRun, &ev.Interval)
-		return st.write(buf)
-	}
-	done := r.Context().Done()
-	for i := 0; ; i++ {
-		for {
-			e, ok, ch := j.peek(i)
-			if ok {
-				// A result's frames always precede its completion (the
-				// sampler seals before the observer fires): drain what is
-				// buffered so the tail computation sees the full live
-				// prefix.
-			drain:
-				for {
-					select {
-					case ev, open := <-sub.C():
-						if !open || !live(ev) {
-							return
-						}
-					default:
-						break drain
-					}
-				}
-				m := seen[e.Key]
-				buf = buf[:0]
-				for k := range e.Intervals {
-					iv := &e.Intervals[k]
-					if e.Source == api.SourceRun && m != nil && m.any &&
-						(iv.Window < m.win || (iv.Window == m.win && iv.Index <= m.idx)) {
-						continue // delivered live already
-					}
-					appendRec(e.Key, e.Source, iv)
-				}
-				if len(buf) > 0 && !st.write(buf) {
-					return
-				}
-				break
-			}
-			if ch == nil {
-				return // job done; the stream is complete
-			}
-			select {
-			case ev, open := <-sub.C():
-				if !open || !live(ev) {
-					return
-				}
-			case <-ch:
-			case <-done:
-				return
-			}
-		}
-	}
-}
-
-// ndjson is one open NDJSON response; /stream, /intervals and
-// /v1/events all write through it. Every write is bounded by
-// StreamWriteTimeout and flushed, so a reader sees each line as it is
-// written, and a reader that stops reading is dropped instead of
-// pinning its handler. The deadline holds only while a write is under
+// ndjson is one open NDJSON response; /stream and /v1/events both
+// write through it. Every write is bounded by StreamWriteTimeout and
+// flushed, so a reader sees each line as it is written, and a reader
+// that stops reading is dropped instead of pinning its handler. The deadline holds only while a write is under
 // way: an idle stream has none that could pass, and close sets a fresh
 // one for the closing chunk net/http writes after the handler returns.
 type ndjson struct {
@@ -940,9 +826,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady is the orchestration readiness probe: 200 only when the
 // daemon is not draining, its backend is ready and its admission queue
-// has room. The fleet coordinator treats
-// liveness (/healthz) and readiness separately — a saturated worker is
-// alive but should not be handed new work.
+// has room. It serves load balancers and orchestrators. The fleet
+// coordinator never calls it: it probes workers' /healthz, and a
+// saturated worker answers a dispatch with 429, which client.Submit
+// resubmits after the Retry-After hint.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed

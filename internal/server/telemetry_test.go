@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"mssr/internal/api"
-	"mssr/internal/obs"
 	"mssr/internal/server"
 	"mssr/internal/sim"
 	"mssr/internal/stats"
@@ -47,7 +46,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func TestIntervalEndpointAndHistograms(t *testing.T) {
+// TestSampledResultsAndHistograms: a sampled job's results carry their
+// intervals, and the daemon's histograms, memory-hierarchy counters and
+// structured log cover the run.
+func TestSampledResultsAndHistograms(t *testing.T) {
 	var logBuf syncBuffer
 	srv, _, c := newTestDaemon(t, server.Config{
 		Logger: slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
@@ -68,39 +70,13 @@ func TestIntervalEndpointAndHistograms(t *testing.T) {
 		if len(r.Intervals) == 0 {
 			t.Errorf("%s: sampled result carries no intervals", r.Key)
 		}
+		for _, iv := range r.Intervals {
+			if iv.End <= iv.Start {
+				t.Errorf("%s: interval [%d,%d) is empty", r.Key, iv.Start, iv.End)
+			}
+		}
 		if r.Stats.L1DHits+r.Stats.L1DMisses == 0 {
 			t.Errorf("%s: result stats carry no L1D counters", r.Key)
-		}
-	}
-
-	// The intervals endpoint replays every result's telemetry as NDJSON.
-	var recs []api.IntervalRecord
-	if err := c.Intervals(ctx, sub.JobID, func(rec api.IntervalRecord) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("intervals endpoint returned no records")
-	}
-	var total int
-	for _, r := range st.Results {
-		total += len(r.Intervals)
-	}
-	if len(recs) != total {
-		t.Errorf("intervals endpoint returned %d records, results carry %d", len(recs), total)
-	}
-	keys := map[string]bool{}
-	for _, r := range st.Results {
-		keys[r.Key] = true
-	}
-	for _, rec := range recs {
-		if !keys[rec.Key] {
-			t.Errorf("interval record carries unknown key %q", rec.Key)
-		}
-		if rec.End <= rec.Start {
-			t.Errorf("interval record [%d,%d) is empty", rec.Start, rec.End)
 		}
 	}
 
@@ -231,23 +207,21 @@ func TestStreamEncodeFailuresCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive both NDJSON endpoints against a write-failing connection.
-	for _, path := range []string{"/stream", "/intervals"} {
-		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+sub.JobID+path, nil)
-		srv.ServeHTTP(&failAfterHeader{}, req)
-	}
+	// Drive the completion stream against a write-failing connection.
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+sub.JobID+"/stream", nil)
+	srv.ServeHTTP(&failAfterHeader{}, req)
 
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(t, m, "msrd_stream_errors_total"); got != 2 {
-		t.Errorf("msrd_stream_errors_total = %v, want 2 (one per endpoint)", got)
+	if got := metricValue(t, m, "msrd_stream_errors_total"); got != 1 {
+		t.Errorf("msrd_stream_errors_total = %v, want 1", got)
 	}
 }
 
 // hooked is a test Backend that hands each job's hooks to its function,
-// so the function can publish live telemetry as a sim.Runner does.
+// so the function can settle specs as a sim.Runner does.
 type hooked func(h server.JobHooks, ctx context.Context, specs []sim.Spec) ([]sim.Result, error)
 
 func (f hooked) Job(h server.JobHooks) sim.Backend {
@@ -258,12 +232,12 @@ func (f hooked) Job(h server.JobHooks) sim.Backend {
 
 func (hooked) Ready() error { return nil }
 
-// TestIntervalsEndAfterIdle: an /intervals stream whose last write came
-// longer than StreamWriteTimeout before the job finished still ends
-// cleanly. Here every record arrives live, so the completion adds none
-// and the handler returns without writing; net/http's closing chunk
-// must not fall under the last write's deadline.
-func TestIntervalsEndAfterIdle(t *testing.T) {
+// TestStreamEndsAfterIdle: a /stream whose last write came longer than
+// StreamWriteTimeout before the job finished still ends cleanly. The
+// backend settles its spec, so the stream writes the result, then idles
+// past the timeout before it returns; net/http's closing chunk must not
+// fall under the last write's deadline.
+func TestStreamEndsAfterIdle(t *testing.T) {
 	gate := make(chan struct{})
 	backend := hooked(func(h server.JobHooks, ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
 		select {
@@ -271,44 +245,51 @@ func TestIntervalsEndAfterIdle(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		iv := obs.Interval{Start: 0, End: 64, Retired: 48}
 		out := make([]sim.Result, len(specs))
 		for i, sp := range specs {
-			h.OnInterval(i, sp.Key(), iv)
 			out[i] = sim.Result{
-				Index:     i,
-				Key:       sp.Key(),
-				Spec:      sp,
-				Stats:     &stats.Stats{Cycles: 64, Retired: 48},
-				Wall:      time.Millisecond,
-				Intervals: []obs.Interval{iv},
+				Index: i,
+				Key:   sp.Key(),
+				Spec:  sp,
+				Stats: &stats.Stats{Cycles: 64, Retired: 48},
+				Wall:  time.Millisecond,
 			}
+			h.Observer.OnFinish(i, len(specs), out[i])
 		}
 		time.Sleep(100 * time.Millisecond) // idle past the write timeout
 		return out, nil
 	})
-	srv, _, c := newTestDaemon(t, server.Config{Backend: backend, StreamWriteTimeout: 50 * time.Millisecond})
+	_, _, c := newTestDaemon(t, server.Config{Backend: backend, StreamWriteTimeout: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sub, err := c.Submit(ctx, sampledSpecs()[:1])
+	sub, err := c.Submit(ctx, microSpecs()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var recs []api.IntervalRecord
+	var got []api.Result
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- c.Intervals(ctx, sub.JobID, func(rec api.IntervalRecord) error {
-			recs = append(recs, rec)
+		errCh <- c.Stream(ctx, sub.JobID, func(r api.Result) error {
+			got = append(got, r)
 			return nil
 		})
 	}()
-	waitSubscribers(t, srv, 1)
+	for {
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metricValue(t, m, "msrd_stream_connections") == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	if err := <-errCh; err != nil {
-		t.Fatalf("Intervals = %v, want nil", err)
+		t.Fatalf("Stream = %v, want nil", err)
 	}
-	if len(recs) != 1 || recs[0].Source != api.SourceRun {
-		t.Errorf("got %d records (%+v), want the one live record", len(recs), recs)
+	if len(got) != 1 || got[0].Source != api.SourceRun {
+		t.Errorf("got %d results (%+v), want the one run result", len(got), got)
 	}
 }

@@ -159,10 +159,11 @@ func (j *JSONStream) Err() error {
 
 // IntervalStream emits every finished job's interval-telemetry records
 // (Result.Intervals), each annotated with the job key so one file can
-// carry a whole sweep. The NDJSON form writes one object per interval;
-// the CSV form writes one header plus one row per interval with the key
-// as the first column. Like JSONStream, the first write failure is
-// recorded and reported by Err rather than panicking the worker pool.
+// carry a whole sweep; msrsim and msrbench -stats-out both write through
+// it. The NDJSON form writes one object per interval; the CSV form
+// writes one header plus one row per interval with the key as the first
+// column. Like JSONStream, the first write failure is recorded and
+// reported by Err rather than panicking the worker pool.
 type IntervalStream struct {
 	mu          sync.Mutex
 	w           io.Writer

@@ -3,9 +3,9 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
-	"mssr/internal/obs"
 	"mssr/internal/trace"
 )
 
@@ -136,7 +136,7 @@ func TestBatchedRunSubmissionOrder(t *testing.T) {
 // TestCheckedGroupMatchesLoneRuns runs commit-time checking inside a
 // lockstep group: three full-detail configs of one workload share a job,
 // each member checks its commits against its own emulator, and every
-// result (stats, final architectural state, interval NDJSON) must equal
+// result (stats, final architectural state, intervals) must equal
 // the same spec run on a Runner of its own.
 func TestCheckedGroupMatchesLoneRuns(t *testing.T) {
 	var specs []Spec
@@ -153,12 +153,12 @@ func TestCheckedGroupMatchesLoneRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	alone := freshRun(t, specs)
-	ndjson := func(res Result) []byte {
-		var buf bytes.Buffer
-		if err := obs.WriteNDJSON(&buf, res.Intervals); err != nil {
+	intervals := func(res Result) []byte {
+		b, err := json.Marshal(res.Intervals)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	for i := range specs {
 		g, a := grouped[i], alone[i]
@@ -169,8 +169,8 @@ func TestCheckedGroupMatchesLoneRuns(t *testing.T) {
 		if g.Arch.Retired == 0 || g.Arch != a.Arch {
 			t.Errorf("%s: grouped architectural state %+v, lone %+v", g.Key, g.Arch, a.Arch)
 		}
-		if iv := ndjson(g); len(iv) == 0 || !bytes.Equal(iv, ndjson(a)) {
-			t.Errorf("%s: grouped interval NDJSON differs from a lone run", g.Key)
+		if len(g.Intervals) == 0 || !bytes.Equal(intervals(g), intervals(a)) {
+			t.Errorf("%s: grouped intervals differ from a lone run", g.Key)
 		}
 		if g.Wall <= 0 || g.MIPS <= 0 {
 			t.Errorf("%s: Wall %v, MIPS %v; want both positive", g.Key, g.Wall, g.MIPS)
