@@ -166,7 +166,10 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "msrbench: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, time.Since(start).Seconds(), out)
+		// Wall time goes to stderr so stdout is byte-stable across runs
+		// and hosts: bench_output_tables.txt is its golden.
+		fmt.Fprintf(os.Stderr, "msrbench: %s took %.1fs\n", e.name, time.Since(start).Seconds())
+		fmt.Printf("==== %s ====\n%s\n", e.name, out)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "msrbench: no experiment selected by -exp %q\n", *exps)
