@@ -1,11 +1,14 @@
 package api_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mssr/internal/api"
+	"mssr/internal/events"
 	"mssr/internal/obs"
 	"mssr/internal/sim"
 	"mssr/internal/stats"
@@ -63,7 +66,10 @@ func TestResultSimRoundTripPreservesContent(t *testing.T) {
 		{"full", full, api.Result{
 			Index: 2, Key: "label", Source: api.SourceRun, Program: "bfs", Engine: "rgid-4x64",
 			Cycles: st.Cycles, Retired: st.Retired, IPC: st.IPC(), MIPS: 1.5, WallNS: 7e6, Stats: st,
-			Intervals:        []obs.Interval{{Index: 0, Start: 0, End: 512, Retired: 300}, {Index: 1, Start: 512, End: 1024, Retired: 280}},
+			Intervals: []obs.Interval{ // the first counter is retired
+				{Index: 0, Start: 0, End: 512, Counters: [len(stats.IntervalCounters)]uint64{300}},
+				{Index: 1, Start: 512, End: 1024, Counters: [len(stats.IntervalCounters)]uint64{280}, ReuseRate: 5e-05},
+			},
 			IntervalsDropped: 1,
 		}},
 		{"sampled", sampled, api.Result{
@@ -103,5 +109,42 @@ func TestResultSimRoundTripPreservesContent(t *testing.T) {
 		if name := typ.Field(i).Name; !seen[name] {
 			t.Errorf("no case sets api.Result.%s", name)
 		}
+	}
+}
+
+// TestIntervalEncodedAlike pins one JSON encoding per interval: a live
+// /v1/events frame, a result on the wire and a -stats-out NDJSON line
+// carry the same bytes, down to a rate small enough that strconv's 'g'
+// and encoding/json disagree on it (5e-05 against 0.00005).
+func TestIntervalEncodedAlike(t *testing.T) {
+	iv := obs.Interval{Index: 1, Start: 512, End: 1024, ReuseRate: 5e-05, Mode: obs.ModeDetail, Window: 3}
+	iv.Counters[0] = 20000
+	want := string(iv.AppendJSON(nil))
+	if !strings.Contains(want, `"reuse_rate":0.00005,`) {
+		t.Errorf("the rate does not print as encoding/json prints it: %s", want)
+	}
+
+	ev := events.Event{Seq: 1, Type: events.TypeInterval, Key: "k", Interval: iv}
+	frame, err := json.Marshal(&ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, _ := strings.Cut(strings.TrimSuffix(string(frame), "}"), `"interval":`); got != want {
+		t.Errorf("event frame carries\n%s\nwant\n%s", got, want)
+	}
+
+	res, err := json.Marshal(api.Result{Key: "k", Intervals: []obs.Interval{iv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, _ := strings.Cut(string(res), `"intervals":[`); !strings.HasPrefix(got, want+"]") {
+		t.Errorf("result carries\n%s\nwant\n%s]", got, want)
+	}
+
+	var nd bytes.Buffer
+	s := sim.NewIntervalStream(&nd)
+	s.OnFinish(0, 1, sim.Result{Key: "k", Intervals: []obs.Interval{iv}})
+	if got := "{" + strings.TrimPrefix(nd.String(), `{"key":"k",`); got != want+"\n" {
+		t.Errorf("NDJSON line is\n%s\nwant\n%s", nd.String(), want)
 	}
 }

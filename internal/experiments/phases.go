@@ -8,6 +8,7 @@ import (
 
 	"mssr/internal/obs"
 	"mssr/internal/sim"
+	"mssr/internal/stats"
 	"mssr/internal/workloads"
 )
 
@@ -59,18 +60,15 @@ type PhaseWorkload struct {
 // computed over the quarter's summed deltas (not averaged per-interval
 // rates, which would weight short trailing intervals equally).
 func quarterRates(ivs []obs.Interval) (ipc, reuse float64) {
-	var retired, cycles, hits uint64
+	var sum [len(stats.IntervalCounters)]uint64
+	var cycles uint64
 	for i := range ivs {
-		retired += ivs[i].Retired
+		for j, v := range ivs[i].Counters {
+			sum[j] += v
+		}
 		cycles += ivs[i].Cycles()
-		hits += ivs[i].ReuseHits
 	}
-	if cycles > 0 {
-		ipc = float64(retired) / float64(cycles)
-	}
-	if retired > 0 {
-		reuse = float64(hits) / float64(retired)
-	}
+	ipc, reuse, _, _ = stats.IntervalRates(&sum, cycles)
 	return ipc, reuse
 }
 

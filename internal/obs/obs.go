@@ -24,84 +24,43 @@ const DefaultWindow = 1024
 // Snapshot is the cumulative counter state at one cycle boundary. It is
 // a plain value: building one costs no allocation.
 type Snapshot struct {
-	Cycle             uint64
-	Retired           uint64
-	Fetched           uint64
-	Flushes           uint64
-	Branches          uint64
-	BranchMispredicts uint64
-	JumpMispredicts   uint64
-	ReuseTests        uint64
-	ReuseHits         uint64
-	SquashedStreams   uint64
-	Reconvergences    uint64
-	RGIDResets        uint64
-	L1DHits           uint64
-	L1DMisses         uint64
-	L2Hits            uint64
-	L2Misses          uint64
-	DRAMAccesses      uint64
+	Cycle uint64
+	// Counters holds each interval counter's running total, in
+	// stats.IntervalCounters order.
+	Counters [len(stats.IntervalCounters)]uint64
 }
 
 // SnapshotOf builds the cumulative snapshot at cycle from st. The memory
 // counters must already be mirrored into st (the core does this before
 // every sample; see Core.syncMemStats).
 func SnapshotOf(cycle uint64, st *stats.Stats) Snapshot {
-	return Snapshot{
-		Cycle:             cycle,
-		Retired:           st.Retired,
-		Fetched:           st.Fetched,
-		Flushes:           st.Flushes,
-		Branches:          st.Branches,
-		BranchMispredicts: st.BranchMispredicts,
-		JumpMispredicts:   st.JumpMispredicts,
-		ReuseTests:        st.ReuseTests,
-		ReuseHits:         st.ReuseHits,
-		SquashedStreams:   st.SquashedStreams,
-		Reconvergences:    st.Reconvergences,
-		RGIDResets:        st.RGIDResets,
-		L1DHits:           st.L1DHits,
-		L1DMisses:         st.L1DMisses,
-		L2Hits:            st.L2Hits,
-		L2Misses:          st.L2Misses,
-		DRAMAccesses:      st.DRAMAccesses,
+	snap := Snapshot{Cycle: cycle}
+	for i, c := range stats.IntervalCounters {
+		snap.Counters[i] = *c.Field(st)
 	}
+	return snap
 }
 
 // Interval is the delta between two consecutive snapshots plus the rates
-// derived from it. The struct is flat and self-describing so records
-// serialize directly as NDJSON lines or CSV rows.
+// derived from it. AppendJSON is its one JSON encoding (MarshalJSON and
+// UnmarshalJSON follow it) and CSVRow its CSV row.
 type Interval struct {
 	// Index is the absolute interval number since the run began; gaps
 	// against a record's position reveal ring overwrites.
-	Index int `json:"index"`
+	Index int
 	// Start and End bound the window in cycles: [Start, End).
-	Start uint64 `json:"start_cycle"`
-	End   uint64 `json:"end_cycle"`
+	Start uint64
+	End   uint64
 
-	// Counter deltas over the window.
-	Retired           uint64 `json:"retired"`
-	Fetched           uint64 `json:"fetched"`
-	Flushes           uint64 `json:"flushes"`
-	Branches          uint64 `json:"branches"`
-	BranchMispredicts uint64 `json:"branch_mispredicts"`
-	JumpMispredicts   uint64 `json:"jump_mispredicts"`
-	ReuseTests        uint64 `json:"reuse_tests"`
-	ReuseHits         uint64 `json:"reuse_hits"`
-	SquashedStreams   uint64 `json:"squashed_streams"`
-	Reconvergences    uint64 `json:"reconvergences"`
-	RGIDResets        uint64 `json:"rgid_resets"`
-	L1DHits           uint64 `json:"l1d_hits"`
-	L1DMisses         uint64 `json:"l1d_misses"`
-	L2Hits            uint64 `json:"l2_hits"`
-	L2Misses          uint64 `json:"l2_misses"`
-	DRAMAccesses      uint64 `json:"dram_accesses"`
+	// Counters holds each interval counter's delta over the window, in
+	// stats.IntervalCounters order.
+	Counters [len(stats.IntervalCounters)]uint64
 
-	// Derived per-interval rates.
-	IPC         float64 `json:"ipc"`
-	ReuseRate   float64 `json:"reuse_rate"`
-	MPKI        float64 `json:"mpki"`
-	L1DMissRate float64 `json:"l1d_miss_rate"`
+	// Derived per-interval rates (stats.IntervalRates).
+	IPC         float64
+	ReuseRate   float64
+	MPKI        float64
+	L1DMissRate float64
 
 	// Execution-mode annotation, set by the multi-fidelity orchestration
 	// (internal/sim): Mode names how the enclosing region was executed
@@ -109,8 +68,8 @@ type Interval struct {
 	// 1-based sample-period number the interval belongs to. Both stay
 	// zero-valued — and absent from the JSON — for full-detail runs, so
 	// their interval streams are byte-identical to earlier versions.
-	Mode   string `json:"mode,omitempty"`
-	Window int    `json:"window,omitempty"`
+	Mode   string
+	Window int
 }
 
 // ModeDetail annotates intervals recorded inside a detailed window of a
@@ -122,38 +81,12 @@ func (iv *Interval) Cycles() uint64 { return iv.End - iv.Start }
 
 // intervalBetween differences prev and cur into the interval record at
 // absolute index idx.
-func intervalBetween(idx int, prev, cur Snapshot) Interval {
-	iv := Interval{
-		Index:             idx,
-		Start:             prev.Cycle,
-		End:               cur.Cycle,
-		Retired:           cur.Retired - prev.Retired,
-		Fetched:           cur.Fetched - prev.Fetched,
-		Flushes:           cur.Flushes - prev.Flushes,
-		Branches:          cur.Branches - prev.Branches,
-		BranchMispredicts: cur.BranchMispredicts - prev.BranchMispredicts,
-		JumpMispredicts:   cur.JumpMispredicts - prev.JumpMispredicts,
-		ReuseTests:        cur.ReuseTests - prev.ReuseTests,
-		ReuseHits:         cur.ReuseHits - prev.ReuseHits,
-		SquashedStreams:   cur.SquashedStreams - prev.SquashedStreams,
-		Reconvergences:    cur.Reconvergences - prev.Reconvergences,
-		RGIDResets:        cur.RGIDResets - prev.RGIDResets,
-		L1DHits:           cur.L1DHits - prev.L1DHits,
-		L1DMisses:         cur.L1DMisses - prev.L1DMisses,
-		L2Hits:            cur.L2Hits - prev.L2Hits,
-		L2Misses:          cur.L2Misses - prev.L2Misses,
-		DRAMAccesses:      cur.DRAMAccesses - prev.DRAMAccesses,
+func intervalBetween(idx int, prev, cur *Snapshot) Interval {
+	iv := Interval{Index: idx, Start: prev.Cycle, End: cur.Cycle}
+	for i := range iv.Counters {
+		iv.Counters[i] = cur.Counters[i] - prev.Counters[i]
 	}
-	if cycles := iv.End - iv.Start; cycles > 0 {
-		iv.IPC = float64(iv.Retired) / float64(cycles)
-	}
-	if iv.Retired > 0 {
-		iv.ReuseRate = float64(iv.ReuseHits) / float64(iv.Retired)
-		iv.MPKI = 1000 * float64(iv.BranchMispredicts+iv.JumpMispredicts) / float64(iv.Retired)
-	}
-	if accesses := iv.L1DHits + iv.L1DMisses; accesses > 0 {
-		iv.L1DMissRate = float64(iv.L1DMisses) / float64(accesses)
-	}
+	iv.IPC, iv.ReuseRate, iv.MPKI, iv.L1DMissRate = stats.IntervalRates(&iv.Counters, iv.Cycles())
 	return iv
 }
 
@@ -187,7 +120,7 @@ func (s *Sampler) Every() uint64 { return s.every }
 // Record closes the interval ending at snap, overwriting the oldest
 // record if the ring is full. It never allocates.
 func (s *Sampler) Record(snap Snapshot) {
-	s.ring[s.n%len(s.ring)] = intervalBetween(s.n, s.prev, snap)
+	s.ring[s.n%len(s.ring)] = intervalBetween(s.n, &s.prev, &snap)
 	s.n++
 	s.prev = snap
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mssr/internal/obs"
+	"mssr/internal/stats"
 )
 
 // sampledSpec is tinySpec with interval telemetry attached at a period
@@ -55,12 +56,16 @@ func TestResultCarriesIntervals(t *testing.T) {
 		t.Errorf("interval stream ends at cycle %d, run ended at %d (missing Flush?)", last.End, res.Stats.Cycles)
 	}
 	if res.IntervalsDropped == 0 {
-		var retired uint64
+		var sum [len(stats.IntervalCounters)]uint64
 		for _, iv := range res.Intervals {
-			retired += iv.Retired
+			for i, v := range iv.Counters {
+				sum[i] += v
+			}
 		}
-		if retired != res.Stats.Retired {
-			t.Errorf("interval deltas sum to %d retired, run retired %d", retired, res.Stats.Retired)
+		for i, c := range stats.IntervalCounters {
+			if sum[i] != *c.Field(res.Stats) {
+				t.Errorf("interval deltas sum to %d %s, the run's total is %d", sum[i], c.Name, *c.Field(res.Stats))
+			}
 		}
 	}
 	// Unsampled runs must stay interval-free.
@@ -138,18 +143,23 @@ func TestIntervalStreamFormats(t *testing.T) {
 	spec := sampledSpec()
 	wantKey := spec.Key()
 	for i, line := range ndLines {
+		// Two decodes: embedding obs.Interval would promote its
+		// UnmarshalJSON and drop the key.
 		var rec struct {
 			Key string `json:"key"`
-			obs.Interval
 		}
+		var iv obs.Interval
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("NDJSON line %d does not parse: %v", i, err)
 		}
-		if rec.Key != wantKey {
-			t.Errorf("NDJSON line %d key %q, want %q", i, rec.Key, wantKey)
+		if err := json.Unmarshal([]byte(line), &iv); err != nil {
+			t.Fatalf("NDJSON line %d does not parse as an interval: %v", i, err)
 		}
-		if rec.Index != i {
-			t.Errorf("NDJSON line %d has interval index %d", i, rec.Index)
+		if !strings.HasPrefix(line, `{"key":`) || rec.Key != wantKey {
+			t.Errorf("NDJSON line %d does not lead with key %q: %s", i, wantKey, line)
+		}
+		if iv.Index != i {
+			t.Errorf("NDJSON line %d has interval index %d", i, iv.Index)
 		}
 	}
 

@@ -178,13 +178,6 @@ func NewIntervalStream(w io.Writer) *IntervalStream { return &IntervalStream{w: 
 // NewIntervalCSVStream returns an IntervalStream writing CSV to w.
 func NewIntervalCSVStream(w io.Writer) *IntervalStream { return &IntervalStream{w: w, csv: true} }
 
-// keyedInterval is the NDJSON wire shape: the interval's own fields plus
-// the job key.
-type keyedInterval struct {
-	Key string `json:"key"`
-	obs.Interval
-}
-
 // OnStart implements Observer.
 func (s *IntervalStream) OnStart(index, total int, key string) {}
 
@@ -202,10 +195,17 @@ func (s *IntervalStream) OnFinish(index, total int, r Result) {
 		s.err = s.writeCSV(r)
 		return
 	}
-	enc := json.NewEncoder(s.w)
+	// Each line is the interval's JSON object with "key" as its first
+	// field, the key quoted as encoding/json quotes it.
+	key, _ := json.Marshal(r.Key) // a string always encodes
+	var line []byte
 	for i := range r.Intervals {
-		if err := enc.Encode(&keyedInterval{Key: r.Key, Interval: r.Intervals[i]}); err != nil {
-			s.err = fmt.Errorf("sim: interval stream: encoding %s: %w", r.Key, err)
+		line = append(append(line[:0], `{"key":`...), key...)
+		at := len(line)
+		line = r.Intervals[i].AppendJSON(line)
+		line[at] = ',' // the interval's opening brace becomes the separator
+		if _, err := s.w.Write(append(line, '\n')); err != nil {
+			s.err = fmt.Errorf("sim: interval stream: writing %s: %w", r.Key, err)
 			return
 		}
 	}

@@ -42,7 +42,8 @@ func (t ReconvType) String() string {
 }
 
 // Stats aggregates one simulation's counters. The zero value is ready to
-// use.
+// use. Every scalar counter has one row in Counters; the hot path
+// increments the named fields directly.
 type Stats struct {
 	// Core progress.
 	Cycles  uint64
@@ -100,6 +101,85 @@ type Stats struct {
 	RIInvalidates  uint64 // transitive invalidations
 }
 
+// A Counter is one scalar counter of Stats: the name it carries on the
+// wire and the field that holds it.
+type Counter struct {
+	Name  string
+	Field func(*Stats) *uint64
+}
+
+// IntervalCounters are the counters interval telemetry carries, in wire
+// order: a sample snapshots them, an interval holds their deltas, and
+// its JSON fields and CSV columns are named after them. Append a new one
+// at the end, so the positions IntervalRates reads stay put.
+var IntervalCounters = [...]Counter{
+	{"retired", func(s *Stats) *uint64 { return &s.Retired }},
+	{"fetched", func(s *Stats) *uint64 { return &s.Fetched }},
+	{"flushes", func(s *Stats) *uint64 { return &s.Flushes }},
+	{"branches", func(s *Stats) *uint64 { return &s.Branches }},
+	{"branch_mispredicts", func(s *Stats) *uint64 { return &s.BranchMispredicts }},
+	{"jump_mispredicts", func(s *Stats) *uint64 { return &s.JumpMispredicts }},
+	{"reuse_tests", func(s *Stats) *uint64 { return &s.ReuseTests }},
+	{"reuse_hits", func(s *Stats) *uint64 { return &s.ReuseHits }},
+	{"squashed_streams", func(s *Stats) *uint64 { return &s.SquashedStreams }},
+	{"reconvergences", func(s *Stats) *uint64 { return &s.Reconvergences }},
+	{"rgid_resets", func(s *Stats) *uint64 { return &s.RGIDResets }},
+	{"l1d_hits", func(s *Stats) *uint64 { return &s.L1DHits }},
+	{"l1d_misses", func(s *Stats) *uint64 { return &s.L1DMisses }},
+	{"l2_hits", func(s *Stats) *uint64 { return &s.L2Hits }},
+	{"l2_misses", func(s *Stats) *uint64 { return &s.L2Misses }},
+	{"dram_accesses", func(s *Stats) *uint64 { return &s.DRAMAccesses }},
+}
+
+// Counters lists every scalar counter of Stats once, IntervalCounters
+// first; Add and Sub loop over it. A new counter is a Stats field plus
+// one row here, or in IntervalCounters if intervals should carry it.
+var Counters = append(IntervalCounters[:],
+	Counter{"cycles", func(s *Stats) *uint64 { return &s.Cycles }},
+	Counter{"reused_loads", func(s *Stats) *uint64 { return &s.ReusedLoads }},
+	Counter{"reuse_fail_rgid", func(s *Stats) *uint64 { return &s.ReuseFailRGID }},
+	Counter{"reuse_fail_not_done", func(s *Stats) *uint64 { return &s.ReuseFailNotDone }},
+	Counter{"reuse_fail_kind", func(s *Stats) *uint64 { return &s.ReuseFailKind }},
+	Counter{"divergences", func(s *Stats) *uint64 { return &s.Divergences }},
+	Counter{"stream_timeouts", func(s *Stats) *uint64 { return &s.StreamTimeouts }},
+	Counter{"load_verifications", func(s *Stats) *uint64 { return &s.LoadVerifications }},
+	Counter{"mem_order_violations", func(s *Stats) *uint64 { return &s.MemOrderViolations }},
+	Counter{"bloom_filter_rejects", func(s *Stats) *uint64 { return &s.BloomFilterRejects }},
+	Counter{"store_set_predictions", func(s *Stats) *uint64 { return &s.StoreSetPredictions }},
+	Counter{"l1d_evictions", func(s *Stats) *uint64 { return &s.L1DEvictions }},
+	Counter{"l2_evictions", func(s *Stats) *uint64 { return &s.L2Evictions }},
+	Counter{"ri_hits", func(s *Stats) *uint64 { return &s.RIHits }},
+	Counter{"ri_invalidates", func(s *Stats) *uint64 { return &s.RIInvalidates }},
+)
+
+// Positions in IntervalCounters of the counters IntervalRates reads
+// (TestCountersCoverStats fails if a row moves one).
+const (
+	iRetired           = 0
+	iBranchMispredicts = 4
+	iJumpMispredicts   = 5
+	iReuseHits         = 7
+	iL1DHits           = 11
+	iL1DMisses         = 12
+)
+
+// IntervalRates derives an interval's rates from its counter deltas d
+// (in IntervalCounters order) over cycles cycles: IPC, reuse rate,
+// branch MPKI and L1D miss rate, as the Stats methods of those names
+// define them.
+func IntervalRates(d *[len(IntervalCounters)]uint64, cycles uint64) (ipc, reuse, mpki, l1dMiss float64) {
+	s := Stats{
+		Cycles:            cycles,
+		Retired:           d[iRetired],
+		BranchMispredicts: d[iBranchMispredicts],
+		JumpMispredicts:   d[iJumpMispredicts],
+		ReuseHits:         d[iReuseHits],
+		L1DHits:           d[iL1DHits],
+		L1DMisses:         d[iL1DMisses],
+	}
+	return s.IPC(), s.ReuseRate(), s.MPKI(), s.L1DMissRate()
+}
+
 // Reset zeroes every counter in place, keeping the RIReplacements
 // backing array (sized once by the engine) so pooled cores never
 // reallocate it between runs.
@@ -123,10 +203,10 @@ func (s *Stats) Clone() *Stats {
 	return &c
 }
 
-// Add accumulates o's counters into s field by field — the aggregation a
-// multi-fidelity run uses to fold successive detailed windows into one
-// result. Histograms add element-wise; RIReplacements grows to o's length
-// if needed (the engine sizes it identically for every window of a run).
+// Add accumulates o's counters into s — the aggregation a multi-fidelity
+// run uses to fold successive detailed windows into one result.
+// Histograms add element-wise; RIReplacements grows to o's length if
+// needed (the engine sizes it identically for every window of a run).
 func (s *Stats) Add(o *Stats) {
 	if len(o.RIReplacements) > len(s.RIReplacements) {
 		grown := make([]uint64, len(o.RIReplacements))
@@ -136,43 +216,15 @@ func (s *Stats) Add(o *Stats) {
 	for i, v := range o.RIReplacements {
 		s.RIReplacements[i] += v
 	}
-	s.Cycles += o.Cycles
-	s.Retired += o.Retired
-	s.Fetched += o.Fetched
-	s.Flushes += o.Flushes
-	s.Branches += o.Branches
-	s.BranchMispredicts += o.BranchMispredicts
-	s.JumpMispredicts += o.JumpMispredicts
-	s.SquashedStreams += o.SquashedStreams
-	s.Reconvergences += o.Reconvergences
-	s.ReuseTests += o.ReuseTests
-	s.ReuseHits += o.ReuseHits
-	s.ReusedLoads += o.ReusedLoads
-	s.ReuseFailRGID += o.ReuseFailRGID
-	s.ReuseFailNotDone += o.ReuseFailNotDone
-	s.ReuseFailKind += o.ReuseFailKind
-	s.Divergences += o.Divergences
-	s.StreamTimeouts += o.StreamTimeouts
-	s.RGIDResets += o.RGIDResets
-	s.LoadVerifications += o.LoadVerifications
-	s.MemOrderViolations += o.MemOrderViolations
-	s.BloomFilterRejects += o.BloomFilterRejects
-	s.StoreSetPredictions += o.StoreSetPredictions
-	s.L1DHits += o.L1DHits
-	s.L1DMisses += o.L1DMisses
-	s.L1DEvictions += o.L1DEvictions
-	s.L2Hits += o.L2Hits
-	s.L2Misses += o.L2Misses
-	s.L2Evictions += o.L2Evictions
-	s.DRAMAccesses += o.DRAMAccesses
+	for _, c := range Counters {
+		*c.Field(s) += *c.Field(o)
+	}
 	for i := range s.ReconvByType {
 		s.ReconvByType[i] += o.ReconvByType[i]
 	}
 	for i := range s.ReconvDistance {
 		s.ReconvDistance[i] += o.ReconvDistance[i]
 	}
-	s.RIHits += o.RIHits
-	s.RIInvalidates += o.RIInvalidates
 }
 
 // CopyFrom makes s a deep copy of o, reusing s's histogram capacity when
@@ -189,51 +241,23 @@ func (s *Stats) CopyFrom(o *Stats) {
 	s.RIReplacements = ri
 }
 
-// Sub removes o's counters from s field by field — the inverse of Add,
-// used to exclude a detailed-warmup prefix from a sample window's
-// measurement. o must be an earlier snapshot of the same run, so every
-// counter in s is at least its counterpart in o.
+// Sub removes o's counters from s — the inverse of Add, used to exclude
+// a detailed-warmup prefix from a sample window's measurement. o must be
+// an earlier snapshot of the same run, so every counter in s is at least
+// its counterpart in o.
 func (s *Stats) Sub(o *Stats) {
 	for i, v := range o.RIReplacements {
 		s.RIReplacements[i] -= v
 	}
-	s.Cycles -= o.Cycles
-	s.Retired -= o.Retired
-	s.Fetched -= o.Fetched
-	s.Flushes -= o.Flushes
-	s.Branches -= o.Branches
-	s.BranchMispredicts -= o.BranchMispredicts
-	s.JumpMispredicts -= o.JumpMispredicts
-	s.SquashedStreams -= o.SquashedStreams
-	s.Reconvergences -= o.Reconvergences
-	s.ReuseTests -= o.ReuseTests
-	s.ReuseHits -= o.ReuseHits
-	s.ReusedLoads -= o.ReusedLoads
-	s.ReuseFailRGID -= o.ReuseFailRGID
-	s.ReuseFailNotDone -= o.ReuseFailNotDone
-	s.ReuseFailKind -= o.ReuseFailKind
-	s.Divergences -= o.Divergences
-	s.StreamTimeouts -= o.StreamTimeouts
-	s.RGIDResets -= o.RGIDResets
-	s.LoadVerifications -= o.LoadVerifications
-	s.MemOrderViolations -= o.MemOrderViolations
-	s.BloomFilterRejects -= o.BloomFilterRejects
-	s.StoreSetPredictions -= o.StoreSetPredictions
-	s.L1DHits -= o.L1DHits
-	s.L1DMisses -= o.L1DMisses
-	s.L1DEvictions -= o.L1DEvictions
-	s.L2Hits -= o.L2Hits
-	s.L2Misses -= o.L2Misses
-	s.L2Evictions -= o.L2Evictions
-	s.DRAMAccesses -= o.DRAMAccesses
+	for _, c := range Counters {
+		*c.Field(s) -= *c.Field(o)
+	}
 	for i := range s.ReconvByType {
 		s.ReconvByType[i] -= o.ReconvByType[i]
 	}
 	for i := range s.ReconvDistance {
 		s.ReconvDistance[i] -= o.ReconvDistance[i]
 	}
-	s.RIHits -= o.RIHits
-	s.RIInvalidates -= o.RIInvalidates
 }
 
 // IPC returns retired instructions per cycle.

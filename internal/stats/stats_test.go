@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -84,5 +85,62 @@ func TestString(t *testing.T) {
 	s := &Stats{Cycles: 10, Retired: 20}
 	if !strings.Contains(s.String(), "IPC=2.000") {
 		t.Errorf("String() = %q", s.String())
+	}
+}
+
+// TestCountersCoverStats guards the counter table. Every uint64 of Stats
+// gets a distinct value, histogram buckets and RIReplacements included:
+// Add into a zero Stats must reproduce all of them (so no field lacks a
+// row and no two rows share one), Sub must return to zero, wire names
+// must be unique, and IntervalRates must read the counters the Stats
+// rate methods read.
+func TestCountersCoverStats(t *testing.T) {
+	want := Stats{RIReplacements: make([]uint64, 3)}
+	next := uint64(1)
+	v := reflect.ValueOf(&want).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(next)
+			next++
+		case reflect.Array, reflect.Slice:
+			for j := range f.Len() {
+				f.Index(j).SetUint(next)
+				next++
+			}
+		default:
+			t.Fatalf("Stats.%s is a %s, which neither Add nor this test covers", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+
+	var got Stats
+	got.Add(&want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Add into a zero Stats:\ngot  %+v\nwant %+v", got, want)
+	}
+	got.Sub(&want)
+	if zero := (Stats{RIReplacements: make([]uint64, 3)}); !reflect.DeepEqual(got, zero) {
+		t.Errorf("Sub of the same Stats left %+v", got)
+	}
+
+	names := make(map[string]bool)
+	for _, c := range Counters {
+		if names[c.Name] {
+			t.Errorf("wire name %q is used twice", c.Name)
+		}
+		names[c.Name] = true
+	}
+	if len(Counters) < len(IntervalCounters) || Counters[0].Name != IntervalCounters[0].Name {
+		t.Error("Counters must start with IntervalCounters")
+	}
+
+	var d [len(IntervalCounters)]uint64
+	for i, c := range IntervalCounters {
+		d[i] = *c.Field(&want)
+	}
+	ipc, reuse, mpki, l1dMiss := IntervalRates(&d, want.Cycles)
+	if ipc != want.IPC() || reuse != want.ReuseRate() || mpki != want.MPKI() || l1dMiss != want.L1DMissRate() {
+		t.Errorf("IntervalRates = %v %v %v %v, want %v %v %v %v (a row moved a position it reads)",
+			ipc, reuse, mpki, l1dMiss, want.IPC(), want.ReuseRate(), want.MPKI(), want.L1DMissRate())
 	}
 }
