@@ -119,8 +119,8 @@ type Coordinator struct {
 }
 
 // New builds a Coordinator: a server over a fresh ring dispatcher, with
-// the ring's health prober and one dispatch and relay loop per
-// configured worker running.
+// one dispatch, relay and health-probe loop per configured worker
+// running.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	ring := newDispatcher(cfg)

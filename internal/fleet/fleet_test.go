@@ -483,12 +483,12 @@ func TestStealSparesIdleOwnersChunk(t *testing.T) {
 
 // newStalledWorker serves a fake msrd that accepts a sub-job, opens its
 // result stream and then writes nothing more: a hung process on a live
-// TCP connection. From the moment the stream opens, /healthz answers
-// 503, or with hang never answers: it holds each probe until the
-// prober gives up on it.
-func newStalledWorker(t *testing.T, hang bool) string {
+// TCP connection. From the moment the stream opens (stalled reads
+// true), /healthz answers 503, or with hang never answers: it holds
+// each probe until the prober gives up on it.
+func newStalledWorker(t *testing.T, hang bool) (addr string, stalled *atomic.Bool) {
 	t.Helper()
-	var stalled atomic.Bool
+	stalled = new(atomic.Bool)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req api.SubmitRequest
@@ -515,7 +515,7 @@ func newStalledWorker(t *testing.T, hang bool) string {
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts.URL
+	return ts.URL, stalled
 }
 
 // TestFleetStalledStreamRetried pins the stalled-stream fault: a worker
@@ -523,7 +523,7 @@ func newStalledWorker(t *testing.T, hang bool) string {
 // checks loses the chunk when it is demoted, and the job finishes on the
 // rest of the ring.
 func TestFleetStalledStreamRetried(t *testing.T) {
-	stalledAddr := newStalledWorker(t, false)
+	stalledAddr, _ := newStalledWorker(t, false)
 	addr, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
 	addrs := []string{stalledAddr, addr}
 	_, fc := newFleet(t, fleet.Config{Workers: addrs})
@@ -559,7 +559,7 @@ func TestFleetStalledStreamRetried(t *testing.T) {
 // announced with worker_down, and its specs finish on the rest of the
 // ring.
 func TestFleetHungProbeDemoted(t *testing.T) {
-	stalledAddr := newStalledWorker(t, true)
+	stalledAddr, _ := newStalledWorker(t, true)
 	addr, _ := newWorker(t, server.Config{Backend: fixed{&stubBackend{}}})
 	addrs := []string{stalledAddr, addr}
 	co, fc := newFleet(t, fleet.Config{Workers: addrs, HealthFailures: 1})
@@ -592,6 +592,53 @@ func TestFleetHungProbeDemoted(t *testing.T) {
 		default:
 			t.Fatalf("no worker_down event for %s (%d events dropped)", stalledAddr, bus.Dropped())
 		}
+	}
+}
+
+// TestFleetHungProbeSparesOthers pins per-worker probing: while one
+// worker's /healthz hangs, each of its probes held for the full probe
+// timeout, the healthy worker is still probed at the ring's cadence
+// (20 ms here, so about 50 probes a second; 10 is the bar).
+func TestFleetHungProbeSparesOthers(t *testing.T) {
+	stalledAddr, stalled := newStalledWorker(t, true)
+	srv := server.New(server.Config{Backend: fixed{&stubBackend{}}})
+	var probes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			probes.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	addrs := []string{stalledAddr, ts.URL}
+	_, fc := newFleet(t, fleet.Config{Workers: addrs, HealthFailures: 1})
+
+	specs := append(specsOn(t, addrs, stalledAddr, 2), specsOn(t, addrs, ts.URL, 2)...)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	sub, err := fc.Submit(ctx, specs)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for !stalled.Load() {
+		if ctx.Err() != nil {
+			t.Fatal("the stalled worker never received its chunk")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // the stalled worker's next probe now hangs
+	before := probes.Load()
+	time.Sleep(time.Second)
+	if n := probes.Load() - before; n < 10 {
+		t.Errorf("the healthy worker got %d probes in 1s while another worker's probe hung, want >= 10", n)
+	}
+	if _, err := fc.Wait(ctx, sub.JobID); err != nil {
+		t.Fatalf("the job never finished past the hung worker: %v", err)
 	}
 }
 
