@@ -304,6 +304,12 @@ type SubmitResponse struct {
 	JobID string `json:"job_id"`
 	// Total is the number of simulations the job describes.
 	Total int `json:"total"`
+	// Results, present only for a job the daemon answered whole from its
+	// result cache on the submitting request, is that job's completion
+	// stream: what GET /v1/jobs/{id}/stream yields, in its order. A
+	// queued job's reply, and one whose results exceed the daemon's
+	// reply budget, carries none; read the stream then.
+	Results []Result `json:"results,omitempty"`
 }
 
 // JobStatus is the body of GET /v1/jobs/{id}.

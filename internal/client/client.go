@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mssr/internal/api"
@@ -29,7 +31,23 @@ type Client struct {
 	// honouring the server's Retry-After each time (default 5; negative
 	// disables retrying).
 	SubmitRetries int
+
+	// replays holds the results submit replies carried, oldest first,
+	// for the next Stream of each job: at most replayJobs entries.
+	replayMu sync.Mutex
+	replays  []replay
 }
+
+// replay is the completion stream a submit reply carried for job id.
+type replay struct {
+	id      string
+	results []api.Result
+}
+
+// replayJobs bounds how many jobs' submit-reply results a Client keeps
+// for the Stream that follows: an entry nobody streams is dropped once
+// replayJobs later replies have carried results.
+const replayJobs = 16
 
 // New returns a client for the daemon at baseURL. A bare "host:port" is
 // promoted to "http://host:port".
@@ -62,7 +80,9 @@ func (e *RetryError) Error() string {
 
 // Submit posts a batch of specs and returns the daemon's job id. On 429
 // it waits out the server's Retry-After hint and resubmits, up to
-// SubmitRetries times; exhaustion returns a *RetryError.
+// SubmitRetries times; exhaustion returns a *RetryError. A reply that
+// carries the job's results (a job the daemon's cache answered whole)
+// is kept for the next Stream of the job, which then sends no request.
 func (c *Client) Submit(ctx context.Context, specs []api.Spec) (*api.SubmitResponse, error) {
 	retries := c.SubmitRetries
 	if retries == 0 {
@@ -79,6 +99,7 @@ func (c *Client) Submit(ctx context.Context, specs []api.Spec) (*api.SubmitRespo
 	for attempt := 0; ; attempt++ {
 		resp, retryAfter, err := c.trySubmit(ctx, body)
 		if err == nil {
+			c.keep(resp.JobID, resp.Results)
 			return resp, nil
 		}
 		if retryAfter < 0 {
@@ -170,9 +191,50 @@ func (c *Client) follow(ctx context.Context, id string, fn func(api.Result) erro
 
 // Stream consumes the job's NDJSON completion stream, calling fn for
 // every per-simulation result in completion order. It returns when the
-// stream ends (job done) or fn returns an error.
+// stream ends (job done) or fn returns an error. The first Stream of a
+// job whose submit reply carried its results replays them instead of
+// sending a request.
 func (c *Client) Stream(ctx context.Context, id string, fn func(api.Result) error) error {
+	if rs, ok := c.take(id); ok {
+		for _, r := range rs {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	return getNDJSON(ctx, c, "/v1/jobs/"+id+"/stream", fn)
+}
+
+// keep records the results a submit reply for job id carried, dropping
+// the oldest entry past replayJobs. A reply without results drops any
+// entry of that id: job ids restart with the daemon, and a stale entry
+// must not answer for a new job.
+func (c *Client) keep(id string, rs []api.Result) {
+	c.replayMu.Lock()
+	defer c.replayMu.Unlock()
+	c.replays = slices.DeleteFunc(c.replays, func(r replay) bool { return r.id == id })
+	if len(rs) == 0 {
+		return
+	}
+	if len(c.replays) == replayJobs {
+		c.replays = slices.Delete(c.replays, 0, 1)
+	}
+	c.replays = append(c.replays, replay{id, rs})
+}
+
+// take removes and returns the kept results of job id, if any: each
+// entry is used once.
+func (c *Client) take(id string) ([]api.Result, bool) {
+	c.replayMu.Lock()
+	defer c.replayMu.Unlock()
+	i := slices.IndexFunc(c.replays, func(r replay) bool { return r.id == id })
+	if i < 0 {
+		return nil, false
+	}
+	rs := c.replays[i].results
+	c.replays = slices.Delete(c.replays, i, i+1)
+	return rs, true
 }
 
 // getNDJSON reads the NDJSON response to GET path, decoding each line
@@ -191,8 +253,10 @@ func getNDJSON[T any](ctx context.Context, c *Client, path string, fn func(T) er
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("client: %s: %s: %s", path, resp.Status, apiError(resp))
 	}
+	// A line is one result or event: most fit in 4 KB, and the buffer
+	// grows for a result carrying a full interval ring, up to 8 MB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 8<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

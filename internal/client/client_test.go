@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -191,5 +193,99 @@ func TestWaitFollowsStream(t *testing.T) {
 	}
 	if got := statuses.Load(); got != 2 {
 		t.Errorf("Wait fetched the status %d times in all, want 2", got)
+	}
+}
+
+// TestStreamReplaysSubmitReply: results a submit reply carries answer
+// the next Stream of that job without a request, once. A second Stream,
+// a reply without results (a queued job, or a restarted daemon reusing
+// the id) and an entry the bound evicted all read the stream endpoint.
+func TestStreamReplaysSubmitReply(t *testing.T) {
+	var requests, jobs atomic.Int64
+	var cached atomic.Bool
+	results := func(id string) []api.Result {
+		return []api.Result{{Index: 1, Key: id + "/b"}, {Index: 0, Key: id + "/a"}}
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			sub := api.SubmitResponse{JobID: fmt.Sprintf("j%d", jobs.Add(1)), Total: 2}
+			if cached.Load() {
+				sub.Results = results(sub.JobID)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			_ = json.NewEncoder(w).Encode(sub)
+			return
+		}
+		id, ok := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/stream")
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		for _, res := range results(id) {
+			_ = json.NewEncoder(w).Encode(res)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	ctx := context.Background()
+	submit := func(withResults bool) string {
+		t.Helper()
+		cached.Store(withResults)
+		sub, err := c.Submit(ctx, []api.Spec{{Workload: "bfs"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub.JobID
+	}
+	// stream checks what Stream yields for id and returns the requests
+	// it sent.
+	stream := func(id string) int64 {
+		t.Helper()
+		before := requests.Load()
+		var got []api.Result
+		if err := c.Stream(ctx, id, func(r api.Result) error {
+			got = append(got, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, results(id)) {
+			t.Errorf("Stream(%s) yielded %+v, want %+v", id, got, results(id))
+		}
+		return requests.Load() - before
+	}
+
+	id := submit(true)
+	if sent := stream(id); sent != 0 {
+		t.Errorf("Stream after a reply with results sent %d requests, want none", sent)
+	}
+	if sent := stream(id); sent != 1 {
+		t.Errorf("a second Stream sent %d requests, want 1", sent)
+	}
+	if sent := stream(submit(false)); sent != 1 {
+		t.Errorf("Stream after a reply without results sent %d requests, want 1", sent)
+	}
+
+	// A restarted daemon numbers its jobs afresh: a reply without results
+	// for an id the client kept drops the kept entry.
+	reused := submit(true)
+	jobs.Add(-1)
+	submit(false)
+	if sent := stream(reused); sent != 1 {
+		t.Errorf("Stream of a reused job id sent %d requests, want 1", sent)
+	}
+
+	first := submit(true)
+	var last string
+	for i := 0; i < replayJobs; i++ {
+		last = submit(true)
+	}
+	if sent := stream(first); sent != 1 {
+		t.Errorf("Stream of an evicted entry sent %d requests, want 1", sent)
+	}
+	if sent := stream(last); sent != 0 {
+		t.Errorf("Stream of the newest entry sent %d requests, want none", sent)
 	}
 }

@@ -58,33 +58,38 @@ func (r *Remote) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error
 		return nil, err
 	}
 
-	st, err := r.Client.follow(ctx, sub.JobID, func(e api.Result) error {
+	// The stream carries every result (the daemon ends it exactly when
+	// the job is done), so it alone fills the positional results: a job
+	// answered from cache costs the submission alone.
+	results := make([]sim.Result, len(specs))
+	seen := make([]bool, len(specs))
+	got := 0
+	err = r.Client.Stream(ctx, sub.JobID, func(e api.Result) error {
+		if e.Index < 0 || e.Index >= len(specs) || seen[e.Index] {
+			return fmt.Errorf("client: job %s streamed spec index %d twice or out of range [0, %d)", sub.JobID, e.Index, len(specs))
+		}
+		seen[e.Index] = true
+		got++
+		sr := e.Sim()
 		if r.Observer != nil {
 			r.Observer.OnStart(e.Index, len(specs), e.Key)
-			r.Observer.OnFinish(e.Index, len(specs), e.Sim())
+			r.Observer.OnFinish(e.Index, len(specs), sr)
 		}
+		sr.Spec = specs[e.Index]
+		results[e.Index] = sr
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Results) != len(specs) {
-		return nil, fmt.Errorf("client: daemon returned %d results for %d specs (job %s, error %q)",
-			len(st.Results), len(specs), sub.JobID, st.Error)
+	if got != len(specs) {
+		return nil, fmt.Errorf("client: job %s: completion stream ended after %d of %d results", sub.JobID, got, len(specs))
 	}
-	results := make([]sim.Result, len(specs))
 	var errs []error
-	for i, e := range st.Results {
-		sr := e.Sim()
-		sr.Index = i
-		sr.Spec = specs[i]
-		results[i] = sr
-		if sr.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", sr.Key, sr.Err))
+	for i := range results {
+		if err := results[i].Err; err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", results[i].Key, err))
 		}
-	}
-	if st.Error != "" {
-		errs = append(errs, fmt.Errorf("job %s: %s", sub.JobID, st.Error))
 	}
 	return results, errors.Join(errs...)
 }

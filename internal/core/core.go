@@ -237,23 +237,7 @@ func New(prog *isa.Program, cfg Config) *Core {
 	}
 	c.fu = frontend.New(prog, c.bp)
 	c.fetchSlot = c.nextFetchSlot
-	switch cfg.Reuse {
-	case ReuseMultiStream:
-		c.engine = reuse.NewMultiStream(cfg.MS, (*kernel)(c), c.Stats)
-		// The armed/walk protocol observes every renamed instruction.
-		c.tryAll = true
-	case ReuseRI:
-		c.engine = reuse.NewRegisterIntegration(cfg.RI, (*kernel)(c), c.Stats)
-		c.tracker.OnFree = func(p rename.PhysReg) { c.engine.OnPregFreed(p) }
-	case ReuseDIR:
-		c.engine = reuse.NewDIR(cfg.DIR, (*kernel)(c), c.Stats)
-		// The name scheme invalidates entries on every renamed
-		// destination, so it too must see every instruction.
-		c.tryAll = cfg.DIR.Scheme == reuse.DIRName
-	default:
-		c.engine = reuse.NewNone()
-		c.tryNever = true
-	}
+	c.buildEngine()
 	if cfg.DebugCheck {
 		c.checker = emu.New(prog)
 	}
@@ -263,6 +247,45 @@ func New(prog *isa.Program, cfg Config) *Core {
 	c.tracer = cfg.Tracer
 	c.Reset(prog)
 	return c
+}
+
+// buildEngine builds the reuse engine c.cfg selects, with the engine
+// hooks and counters a new core starts with: the RI replacement
+// histogram unsized (RI sizes it; DIR counts into it only when sized)
+// and the tracker's free hook set for RI alone.
+func (c *Core) buildEngine() {
+	c.Stats.RIReplacements = nil
+	c.tracker.OnFree = nil
+	c.tryAll, c.tryNever = false, false
+	switch c.cfg.Reuse {
+	case ReuseMultiStream:
+		c.engine = reuse.NewMultiStream(c.cfg.MS, (*kernel)(c), c.Stats)
+		// The armed/walk protocol observes every renamed instruction.
+		c.tryAll = true
+	case ReuseRI:
+		c.engine = reuse.NewRegisterIntegration(c.cfg.RI, (*kernel)(c), c.Stats)
+		c.tracker.OnFree = func(p rename.PhysReg) { c.engine.OnPregFreed(p) }
+	case ReuseDIR:
+		c.engine = reuse.NewDIR(c.cfg.DIR, (*kernel)(c), c.Stats)
+		// The name scheme invalidates entries on every renamed
+		// destination, so it too must see every instruction.
+		c.tryAll = c.cfg.DIR.Scheme == reuse.DIRName
+	default:
+		c.engine = reuse.NewNone()
+		c.tryNever = true
+	}
+}
+
+// SetEngine rebuilds c's reuse engine as cfg's Reuse, MS, RI and DIR
+// fields describe it, then resets c to run prog. The rest of cfg is not
+// read: it must equal the configuration c was built with, because
+// nothing else is resized. The core is then indistinguishable from
+// New(prog, cfg), which is what lets a pool of idle cores serve every
+// engine configuration of one machine shape (internal/sim.CorePool).
+func (c *Core) SetEngine(prog *isa.Program, cfg Config) {
+	c.cfg.Reuse, c.cfg.MS, c.cfg.RI, c.cfg.DIR = cfg.Reuse, cfg.MS, cfg.RI, cfg.DIR
+	c.buildEngine()
+	c.Reset(prog)
 }
 
 // ceilPow2 returns the smallest power of two >= n.

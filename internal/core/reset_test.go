@@ -271,3 +271,47 @@ func TestSampledIntervalsPooledVsFresh(t *testing.T) {
 		})
 	}
 }
+
+// TestSetEngineMatchesNew pins the engine rebuild a pooled core takes
+// between configurations of one machine shape: after running under one
+// engine and SetEngine onto the next, a core must hold the hooks and
+// flags a new core of the target configuration starts with, then replay
+// its counters, RI replacement histogram and final state exactly. The
+// ring of configurations runs RI -> DIR -> none -> RGID and back to RI.
+func TestSetEngineMatchesNew(t *testing.T) {
+	progA := aliasProgram(200)
+	progB := hashyProgram(300)
+	cfgs := testConfigs()
+	ring := []string{"ri-64x4", "ri-64x1", "dir-value", "dir-name", "none",
+		"rgid-1x64", "rgid-2x64", "rgid-4x64", "rgid-4x16", "rgid-bloom", "rgid-noload", "ri-64x4"}
+	for k := 1; k < len(ring); k++ {
+		from, to := cfgs[ring[k-1]], cfgs[ring[k]]
+		from.MaxCycles, to.MaxCycles = 50_000_000, 50_000_000
+		c := New(progA, from)
+		if err := c.Run(); err != nil {
+			t.Fatalf("%s: %v", ring[k-1], err)
+		}
+		c.SetEngine(progB, to)
+		fresh := New(progB, to)
+		name := ring[k-1] + " -> " + ring[k]
+		if (c.tracker.OnFree == nil) != (fresh.tracker.OnFree == nil) ||
+			c.tryAll != fresh.tryAll || c.tryNever != fresh.tryNever ||
+			(c.Stats.RIReplacements == nil) != (fresh.Stats.RIReplacements == nil) ||
+			c.EngineName() != fresh.EngineName() {
+			t.Fatalf("%s: rebuilt core starts unlike a new one: free hook %t/%t, tryAll %t/%t, tryNever %t/%t, RI histogram %d/%d, engine %q/%q",
+				name, c.tracker.OnFree != nil, fresh.tracker.OnFree != nil, c.tryAll, fresh.tryAll,
+				c.tryNever, fresh.tryNever, len(c.Stats.RIReplacements), len(fresh.Stats.RIReplacements),
+				c.EngineName(), fresh.EngineName())
+		}
+		for _, x := range []*Core{c, fresh} {
+			if err := x.Run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		got, _ := json.Marshal(c.Stats)
+		want, _ := json.Marshal(fresh.Stats)
+		if !bytes.Equal(got, want) || c.Result() != fresh.Result() {
+			t.Fatalf("%s: rebuilt core diverged from a new one:\nrebuilt: %s\nnew:     %s", name, got, want)
+		}
+	}
+}

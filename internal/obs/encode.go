@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -105,13 +106,21 @@ func (iv Interval) MarshalJSON() ([]byte, error) {
 // decoding it as encoding/json decodes a tagged struct: its input comes
 // from outside (worker results, relayed event frames, stored results
 // older builds wrote), so a field of the wrong type is an error, a
-// missing one stays as it was and an unknown one is ignored.
+// missing one stays as it was and an unknown one is ignored. A mode
+// other than "" and ModeDetail is an error too: CSVRow writes the mode
+// as a bare token, so any other text could break a row.
 func (iv *Interval) UnmarshalJSON(b []byte) error {
 	w := reflect.New(wireInterval)
 	for i, p := range iv.fields() {
 		w.Elem().Field(i).Set(reflect.ValueOf(p))
 	}
-	return json.Unmarshal(b, w.Interface())
+	if err := json.Unmarshal(b, w.Interface()); err != nil {
+		return err
+	}
+	if iv.Mode != "" && iv.Mode != ModeDetail {
+		return fmt.Errorf("obs: interval mode %q is neither empty nor %q", iv.Mode, ModeDetail)
+	}
+	return nil
 }
 
 // AppendJSONFloat appends v as encoding/json writes a float64: the

@@ -205,11 +205,34 @@ func TestCSVMatchesHeader(t *testing.T) {
 	}
 }
 
+// TestIntervalModeRejected: a decoded interval's mode can only be one
+// CSVRow writes as a token. Any other text is refused at decode, since a
+// comma or a newline in it would break the row.
+func TestIntervalModeRejected(t *testing.T) {
+	for _, in := range []string{
+		`{"index":1,"mode":"detail,x\ny"}`,
+		`{"index":1,"mode":"warm"}`,
+		`{"index":1,"mode":"Detail"}`,
+	} {
+		var iv Interval
+		if err := json.Unmarshal([]byte(in), &iv); err == nil {
+			t.Errorf("%s decoded, want an error; its CSV row reads %q", in, iv.CSVRow())
+		}
+	}
+	for _, mode := range []string{"", ModeDetail} {
+		in := `{"index":1,"mode":"` + mode + `"}`
+		var iv Interval
+		if err := json.Unmarshal([]byte(in), &iv); err != nil || iv.Mode != mode {
+			t.Errorf("%s: mode %q, error %v; want mode %q", in, iv.Mode, err, mode)
+		}
+	}
+}
+
 // FuzzIntervalJSON drives outside input through the interval decoder:
 // worker results, relayed event frames and stored results all reach it.
 // No input may panic, and an accepted one must re-encode through
 // AppendJSON to bytes that decode to the same interval and re-encode to
-// themselves.
+// themselves, and render as one CSV row of CSVHeader's columns.
 func FuzzIntervalJSON(f *testing.F) {
 	for _, seed := range []string{
 		// TestEventEncodingGolden's interval.
@@ -221,6 +244,7 @@ func FuzzIntervalJSON(f *testing.F) {
 		`{"index":2,"start_cycle":0,"end_cycle":512}`,
 		`{"index":"3","retired":1.5}`,
 		`{"retired":18446744073709551615}`,
+		`{"index":1,"mode":"detail,x\ny"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -239,6 +263,10 @@ func FuzzIntervalJSON(f *testing.F) {
 		}
 		if again := back.AppendJSON(nil); !bytes.Equal(again, enc) {
 			t.Fatalf("re-encoding differs:\n%s\n%s", again, enc)
+		}
+		row := iv.CSVRow()
+		if strings.ContainsAny(row, "\r\n") || strings.Count(row, ",") != strings.Count(CSVHeader(), ",") {
+			t.Fatalf("CSV row %q does not match the header's %d columns on one line", row, strings.Count(CSVHeader(), ",")+1)
 		}
 	})
 }

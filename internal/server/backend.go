@@ -39,20 +39,27 @@ type JobHooks struct {
 	OnWindow   func(index int, key string, window, windows int)
 }
 
-// runners is the default Backend: a fresh sim.Runner per job, built
-// from the daemon's config, every one sharing its checkpoint store.
-type runners Config
+// runners is the default Backend: a sim.Runner per job, built from the
+// daemon's config. Every one shares the daemon's checkpoint store and
+// one idle-core pool, so a job's simulations run on cores earlier jobs
+// built: a core of the right machine shape is Reset, and its reuse
+// engine rebuilt if it last ran another, instead of built anew.
+type runners struct {
+	cfg   Config
+	cores sim.CorePool
+}
 
-func (c runners) Job(h JobHooks) sim.Backend {
+func (b *runners) Job(h JobHooks) sim.Backend {
 	return &sim.Runner{
-		Jobs:        c.SimJobs,
-		Timeout:     c.DefaultTimeout,
-		Batching:    c.Batch,
-		Checkpoints: c.Checkpoints,
+		Jobs:        b.cfg.SimJobs,
+		Timeout:     b.cfg.DefaultTimeout,
+		Batching:    b.cfg.Batch,
+		Checkpoints: b.cfg.Checkpoints,
+		Cores:       &b.cores,
 		Observer:    h.Observer,
 		OnInterval:  h.OnInterval,
 		OnWindow:    h.OnWindow,
 	}
 }
 
-func (runners) Ready() error { return nil }
+func (*runners) Ready() error { return nil }

@@ -136,6 +136,14 @@ func (j *job) status() api.JobStatus {
 	return st
 }
 
+// completions returns a copy of the completion-order log: what the
+// stream endpoint yields for a job that is done.
+func (j *job) completions() []api.Result {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return append([]api.Result(nil), j.events...)
+}
+
 // next returns the completion-order event at position i, blocking
 // until it exists, the job finishes, or cancel is closed. The second
 // return is false when no more events will come.

@@ -97,7 +97,8 @@ type Config struct {
 	// owner (cmd/msrd) flushes and closes a disk-backed store.
 	Checkpoints *ckpt.Store
 	// Backend executes leader specs (nil = a sim.Runner per job built
-	// from SimJobs, DefaultTimeout, Batch and Checkpoints). The fleet
+	// from SimJobs, DefaultTimeout, Batch and Checkpoints, every one
+	// drawing cores from one daemon-wide sim.CorePool). The fleet
 	// coordinator plugs in its worker ring; tests inject fakes.
 	Backend Backend
 	// Logger receives the daemon's structured logs: one line per HTTP
@@ -127,7 +128,7 @@ func (c Config) withDefaults() Config {
 		if c.Checkpoints == nil {
 			c.Checkpoints = ckpt.NewMemory(ckpt.DefaultMemBytes)
 		}
-		c.Backend = runners(c)
+		c.Backend = &runners{cfg: c}
 	}
 	if c.Logger == nil {
 		// A handler at a level no record reaches; slog.DiscardHandler
@@ -654,10 +655,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.jobsSubmitted.Add(1)
 	s.log.Info("job submitted", "job_id", j.id, "specs", len(specs))
+	resp := api.SubmitResponse{JobID: j.id, Total: len(specs)}
 	if inline {
 		s.runJob(j)
+		resp.Results = j.completions()
 	}
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{JobID: j.id, Total: len(specs)})
+	writeSubmitted(w, resp)
+}
+
+// replyBytes is the most a submit reply may take to carry its job's
+// results: room for a few dozen full-detail results, not for a sampled
+// run's interval ring. A job whose results take more is answered without
+// them, and its client reads the stream as for a queued job.
+const replyBytes = 64 << 10
+
+// writeSubmitted answers an admitted submission. A reply carrying
+// results goes out with them only if it fits replyBytes.
+func writeSubmitted(w http.ResponseWriter, resp api.SubmitResponse) {
+	if resp.Results != nil {
+		if body, err := json.Marshal(resp); err == nil && len(body) <= replyBytes {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = w.Write(append(body, '\n'))
+			return
+		}
+		resp.Results = nil
+	}
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // lookup finds the job named by the request path, answering 404 itself

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 
+	"mssr/internal/core"
 	"mssr/internal/trace"
 )
 
@@ -188,5 +191,117 @@ func TestPoolKeyTracerUnpoolable(t *testing.T) {
 	s.Tracer = discardTracer{}
 	if key := s.poolKey(); key != "" {
 		t.Fatalf("traced spec got pool key %q, want unpoolable", key)
+	}
+}
+
+// gridOrder lists the paper's twelve grid configurations, as the bench
+// sweeps them, in an order that takes one core from RI to DIR to the
+// baseline to RGID: every step but the first rebuilds the engine.
+func gridOrder() []Spec {
+	rgid := func(streams, entries int) Spec {
+		return Spec{Engine: EngineRGID, Streams: streams, Entries: entries}
+	}
+	bloom, noload, tiny := rgid(4, 64), rgid(4, 64), rgid(4, 64)
+	bloom.Loads, noload.Loads = LoadBloom, LoadNoReuse
+	tiny.Tune, tiny.TuneKey = func(c *core.Config) { c.RGIDBits = 3 }, "rgid3"
+	return []Spec{
+		{Engine: EngineRI, Sets: 64, Ways: 4},
+		{Engine: EngineRI, Sets: 64, Ways: 1},
+		{Engine: EngineDIRValue, Sets: 64, Ways: 4},
+		{Engine: EngineDIRName, Sets: 64, Ways: 4},
+		{Engine: EngineNone},
+		rgid(1, 64), rgid(2, 64), rgid(4, 64), rgid(4, 16), bloom, noload, tiny,
+	}
+}
+
+// TestPooledCoreCyclesGrid runs the twelve grid configurations one after
+// another on one Runner of one worker, so its pool hands one core from
+// engine to engine, forwards and back. Every result (counters, intervals
+// and the RI replacement histogram) must be byte-identical to the same
+// spec run on a new core. rgid-tiny's 3-bit RGIDs are a tuning, which
+// makes them a machine shape of their own.
+func TestPooledCoreCyclesGrid(t *testing.T) {
+	for _, interval := range []uint64{0, 4096} {
+		var specs []Spec
+		for _, s := range gridOrder() {
+			s.Workload, s.Scale, s.SampleInterval = "nested-mispred", 0, interval
+			specs = append(specs, s)
+		}
+		fresh := freshRun(t, specs)
+		back := slices.Clone(specs)
+		slices.Reverse(back)
+		pool := &CorePool{}
+		r := &Runner{Jobs: 1, Cores: pool}
+		for pass, order := range [][]Spec{specs, back} {
+			for _, s := range order {
+				res, err := r.Run(context.Background(), []Spec{s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fresh[slices.IndexFunc(specs, func(f Spec) bool { return f.Key() == s.Key() })]
+				got := res[0]
+				if !bytes.Equal(statsBytes(t, got), statsBytes(t, want)) {
+					t.Errorf("iv%d pass %d %s: pooled stats differ from a new core's:\npooled: %s\nnew:    %s",
+						interval, pass, s.Key(), statsBytes(t, got), statsBytes(t, want))
+				}
+				if !reflect.DeepEqual(got.Stats.RIReplacements, want.Stats.RIReplacements) {
+					t.Errorf("iv%d pass %d %s: RI replacements %v, a new core's %v",
+						interval, pass, s.Key(), got.Stats.RIReplacements, want.Stats.RIReplacements)
+				}
+				gi, _ := json.Marshal(got.Intervals)
+				wi, _ := json.Marshal(want.Intervals)
+				if !bytes.Equal(gi, wi) || (interval > 0 && len(want.Intervals) == 0) {
+					t.Errorf("iv%d pass %d %s: pooled intervals differ from a new core's:\npooled: %s\nnew:    %s",
+						interval, pass, s.Key(), gi, wi)
+				}
+			}
+		}
+		// With one worker the pool keeps one idle core, so returning
+		// rgid-tiny's core drops the plain shape's, which the way back
+		// builds again: three cores in all. Each pass's ten other
+		// plain-shape draws rebuild the engine the spec before left.
+		if cores, engines := pool.Builds(); cores != 3 || engines != 20 {
+			t.Errorf("iv%d: the pool built %d cores and rebuilt %d engines, want 3 and 20",
+				interval, cores, engines)
+		}
+	}
+}
+
+// TestSecondGridPassRebuildsNothing: a batched grid pass draws one core
+// per configuration at once, so the pool keeps one of each, and a second
+// pass takes every core with its engine as it is, even one that draws
+// them in the opposite order. The idle list never outgrows the most
+// cores in use at once: a spec of a new shape adds a core and drops the
+// least recently returned one.
+func TestSecondGridPassRebuildsNothing(t *testing.T) {
+	var specs []Spec
+	for _, w := range []string{"nested-mispred", "linear-mispred"} {
+		for _, s := range gridOrder() {
+			s.Workload, s.Scale = w, 0
+			specs = append(specs, s)
+		}
+	}
+	pool := &CorePool{}
+	r := &Runner{Jobs: 1, Batching: true, Cores: pool}
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			slices.Reverse(specs)
+		}
+		if _, err := r.Run(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		if cores, engines := pool.Builds(); cores != len(gridOrder()) || engines != 0 {
+			t.Fatalf("after pass %d the pool built %d cores and rebuilt %d engines, want %d and 0",
+				pass, cores, engines, len(gridOrder()))
+		}
+	}
+	lone := specs[0]
+	lone.SampleInterval = 512
+	if _, err := r.Run(context.Background(), []Spec{lone}); err != nil {
+		t.Fatal(err)
+	}
+	if cores, _ := pool.Builds(); cores != len(gridOrder())+1 || len(pool.idle) != len(gridOrder()) {
+		t.Errorf("a new shape built %d cores in all and left %d idle, want %d and %d",
+			cores, len(pool.idle), len(gridOrder())+1, len(gridOrder()))
 	}
 }

@@ -151,12 +151,15 @@ type Runner struct {
 	// a ckpt.Open store to persist checkpoints across processes.
 	Checkpoints *ckpt.Store
 
-	// pools caches fully-built cores per pool key (engine + geometry +
-	// config modifiers) so successive jobs with the same configuration
-	// reuse the core's PRF/ROB/predictor-table allocations. Workers own
-	// a core exclusively between Get and Put, which keeps the pooling
+	// Cores is the idle-core pool jobs draw their cores from and return
+	// them to, so successive jobs reuse a core's PRF/ROB/predictor-table
+	// allocations. Nil selects the Runner's own pool. msrd hands one pool
+	// to every per-job Runner, as it does Checkpoints. A job owns a core
+	// exclusively between draw and return, which keeps the pooling
 	// race-free.
-	pools sync.Map // string -> *sync.Pool of *core.Core
+	Cores *CorePool
+
+	ownCores CorePool
 
 	// profiles caches phase profiles (one per program + fidelity
 	// geometry) with single-flight computation, backed by the checkpoint
@@ -192,13 +195,12 @@ func (r *Runner) ckptStore(s *Spec) *ckpt.Store {
 	return defaultCkpt
 }
 
-// pool returns the core pool for key, creating it on first use.
-func (r *Runner) pool(key string) *sync.Pool {
-	if p, ok := r.pools.Load(key); ok {
-		return p.(*sync.Pool)
+// cores resolves the pool the Runner's jobs draw cores from.
+func (r *Runner) cores() *CorePool {
+	if r.Cores != nil {
+		return r.Cores
 	}
-	p, _ := r.pools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
+	return &r.ownCores
 }
 
 // Run executes every spec and returns one Result per spec, in spec
@@ -311,6 +313,8 @@ func (r *Runner) groupJobs(specs []Spec) [][]int {
 // its members' (Spec.Timeout, else Runner.Timeout). A panic is recovered
 // into the error of every member that has not failed already, and stats
 // are cloned before pooled cores return, so results never alias them.
+// The cores go back to the pool when the job ends, except after a panic,
+// which may have left a core mid-cycle.
 func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results []Result) {
 	var budget time.Duration
 	for _, i := range idxs {
@@ -330,11 +334,20 @@ func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results [
 		defer cancel()
 	}
 	start := time.Now()
+	pool := r.cores()
+	var loans []pooledCore // the pooled cores this job draws
 	defer func() {
 		p := recover()
 		var stack []byte
 		if p != nil {
 			stack = debug.Stack()
+		}
+		for _, l := range loans {
+			if p == nil {
+				pool.put(l)
+			} else {
+				pool.drop()
+			}
 		}
 		// Wall holds each member's pipeline time so far; the rest of the
 		// job's time is shared equally.
@@ -375,7 +388,6 @@ func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results [
 	}
 	cores := make([]*core.Core, 0, len(idxs))
 	members := make([]int, 0, len(idxs))
-	pools := make([]*sync.Pool, 0, len(idxs))
 	for _, i := range idxs {
 		s := &specs[i]
 		results[i].Program = prog.Name
@@ -384,11 +396,13 @@ func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results [
 			results[i].Err = err
 			continue
 		}
-		c, pl := r.drawCore(s, prog, cfg)
-		results[i].EngineName = c.EngineName()
-		cores = append(cores, c)
+		l, pooled := pool.get(s, prog, cfg)
+		if pooled {
+			loans = append(loans, l)
+		}
+		results[i].EngineName = l.c.EngineName()
+		cores = append(cores, l.c)
 		members = append(members, i)
-		pools = append(pools, pl)
 	}
 	if len(cores) == 0 {
 		return
@@ -397,10 +411,6 @@ func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results [
 		// batchKey keeps fast-forwarded specs out of groups, so this job
 		// is the spec alone.
 		r.runFidelity(ctx, s, prog, cores[0], &results[members[0]])
-		cores[0].SetIntervalHook(nil)
-		if pools[0] != nil {
-			pools[0].Put(cores[0])
-		}
 		return
 	}
 	if r.OnInterval != nil {
@@ -428,40 +438,14 @@ func (r *Runner) runJob(ctx context.Context, specs []Spec, idxs []int, results [
 		res.IntervalsDropped = c.IntervalsDropped()
 		res.Wall = walls[k]
 		runErr := errs[k]
-		var got emu.Result
-		if runErr == nil && specs[i].VerifyArch {
-			got = c.Result()
-		}
-		c.SetIntervalHook(nil)
-		if pools[k] != nil {
-			pools[k].Put(c)
-		}
 		if runErr != nil {
 			res.Err = runErr
 			continue
 		}
 		if specs[i].VerifyArch {
-			verifyArch(res, got, ref)
+			verifyArch(res, c.Result(), ref)
 		}
 	}
-}
-
-// drawCore returns a core for s: a pooled one reset for prog when the
-// spec is poolable, else a new one, with the pool it goes back to (nil
-// when it must not). A core that panicked mid-run is never returned to
-// the pool (runJob's recover exits before any Put).
-func (r *Runner) drawCore(s *Spec, prog *isa.Program, cfg core.Config) (*core.Core, *sync.Pool) {
-	key := s.poolKey()
-	if key == "" {
-		return core.New(prog, cfg), nil
-	}
-	pl := r.pool(key)
-	if v := pl.Get(); v != nil {
-		c := v.(*core.Core)
-		c.Reset(prog)
-		return c, pl
-	}
-	return core.New(prog, cfg), pl
 }
 
 // reference returns the reference emulation of prog's whole run,

@@ -376,17 +376,7 @@ func (s *Spec) CanonicalKey() string {
 	var sb strings.Builder
 	s.writeProgramKey(&sb)
 	sb.WriteByte('/')
-	switch s.Engine {
-	case EngineRGID:
-		fmt.Fprintf(&sb, "rgid-%dx%d", s.streams(), s.entries())
-	case EngineRI, EngineDIRValue, EngineDIRName:
-		fmt.Fprintf(&sb, "%s-%ds%dw", s.Engine, s.sets(), s.ways())
-	default:
-		sb.WriteString(s.Engine.String())
-	}
-	if s.Loads != LoadDefault {
-		fmt.Fprintf(&sb, "+loads=%s", s.Loads)
-	}
+	s.writeEngineKey(&sb)
 	if s.Check {
 		sb.WriteString("+check")
 	}
@@ -449,6 +439,23 @@ func (s *Spec) writeProgramKey(sb *strings.Builder) {
 	}
 }
 
+// writeEngineKey writes the spec's reuse engine, its geometry and its
+// load policy: the part of a core's configuration a pooled core rebuilds
+// in place (core.Core.SetEngine).
+func (s *Spec) writeEngineKey(sb *strings.Builder) {
+	switch s.Engine {
+	case EngineRGID:
+		fmt.Fprintf(sb, "rgid-%dx%d", s.streams(), s.entries())
+	case EngineRI, EngineDIRValue, EngineDIRName:
+		fmt.Fprintf(sb, "%s-%ds%dw", s.Engine, s.sets(), s.ways())
+	default:
+		sb.WriteString(s.Engine.String())
+	}
+	if s.Loads != LoadDefault {
+		fmt.Fprintf(sb, "+loads=%s", s.Loads)
+	}
+}
+
 // CheckpointKey returns the identity the checkpoint store keys off: the
 // canonical key minus everything that varies within a sweep — engine,
 // geometry, load policy, checking, sampling, warming and the fidelity
@@ -481,30 +488,31 @@ func (s *Spec) ShardKey() string {
 	return s.CanonicalKey()
 }
 
-// poolKey identifies the spec's core construction for the Runner's core
-// pooling: two specs with equal, non-empty pool keys build identical
+// poolKey identifies the spec's core construction for core pooling
+// (CorePool): two specs with equal, non-empty pool keys build identical
 // core.Configs, so a core built for one can be Reset and reused for the
-// other. It is the CanonicalKey minus the program identity (pooled cores
-// are re-targeted at a new program by Reset) and minus VerifyArch (a
-// post-run comparison outside the core). Traced specs return "" — the
-// tracer is per-run state baked into the config — which disables pooling
-// for them.
+// other. It is the engine key followed by the shape key. Traced specs
+// return "" — the tracer is per-run state baked into the config — which
+// disables pooling for them.
 func (s *Spec) poolKey() string {
 	if s.Tracer != nil {
 		return ""
 	}
 	var sb strings.Builder
-	switch s.Engine {
-	case EngineRGID:
-		fmt.Fprintf(&sb, "rgid-%dx%d", s.streams(), s.entries())
-	case EngineRI, EngineDIRValue, EngineDIRName:
-		fmt.Fprintf(&sb, "%s-%ds%dw", s.Engine, s.sets(), s.ways())
-	default:
-		sb.WriteString(s.Engine.String())
-	}
-	if s.Loads != LoadDefault {
-		fmt.Fprintf(&sb, "+loads=%s", s.Loads)
-	}
+	s.writeEngineKey(&sb)
+	sb.WriteString(s.shapeKey())
+	return sb.String()
+}
+
+// shapeKey identifies the machine shape of the spec's core: everything
+// core.New sizes from except the engine — the commit checker, the
+// sampler geometry and the tuning. A pooled core of the same shape can
+// serve the spec after rebuilding its engine (core.Core.SetEngine). It
+// is the CanonicalKey minus the program (Reset re-targets a core), the
+// engine, VerifyArch (a post-run comparison outside the core) and the
+// fidelity suffix (a window plan, not a core). The plain shape is "".
+func (s *Spec) shapeKey() string {
+	var sb strings.Builder
 	if s.Check {
 		sb.WriteString("+check")
 	}
